@@ -2,89 +2,73 @@
 
 Learns a low-dimensional ReLU representation of (ultra)high-dimensional
 data tailored to random nearest-neighbor-distance outlier scoring, so that
-detection in the learned space is both more accurate and fast enough for
-k-d-tree indexing.
+detection in the learned space is both more accurate and faster, because
+distances are computed in M dimensions instead of D.
+
+The public names below load their module on first access (PEP 562), so
+importing a submodule such as ``repen.cli`` does not load numpy; the CLI
+relies on that to set the BLAS thread count before numpy starts.
 """
 
-from .data import (
-    CandidateSets,
-    Dataset,
-    HyperParams,
-    OutlierScores,
-    RepresentationModel,
-    Triplet,
-    validate,
-)
-from .evaluation import auc
-from .ingest import (
-    downsample_to_rate,
-    load_csv,
-    load_libsvm,
-    minmax_scale,
-    synth_gaussian_with_outliers,
-    write_csv,
-    write_libsvm,
-)
-from .learner import (
-    OptimizerState,
-    TrainReport,
-    adadelta_step,
-    embed,
-    load_model,
-    loss_gradient,
-    save_model,
-    train,
-    transform,
-    triplet_loss,
-)
-from .pipeline import PipelineResult, run_pipeline
-from .sampling import negative_sampling_weights, query_sampling_weights, sample_batch
-from .sp import SpConfig, nn_dist, sp_score, sp_score_embedded, sp_score_with_subsamples
-from .srp import srp_matrix, srp_project
-from .thresholding import candidate_sets, cantelli_bound, cantelli_partition
+from importlib import import_module
+
+# Public name -> submodule that defines it.
+_EXPORTS = {
+    "CandidateSets": "data",
+    "Dataset": "data",
+    "HyperParams": "data",
+    "OutlierScores": "data",
+    "RepresentationModel": "data",
+    "Triplet": "data",
+    "validate": "data",
+    "auc": "evaluation",
+    "downsample_to_rate": "ingest",
+    "load_csv": "ingest",
+    "load_libsvm": "ingest",
+    "minmax_scale": "ingest",
+    "synth_gaussian_with_outliers": "ingest",
+    "write_csv": "ingest",
+    "write_libsvm": "ingest",
+    "OptimizerState": "learner",
+    "TrainReport": "learner",
+    "adadelta_step": "learner",
+    "embed": "learner",
+    "load_model": "learner",
+    "loss_gradient": "learner",
+    "save_model": "learner",
+    "train": "learner",
+    "transform": "learner",
+    "triplet_loss": "learner",
+    "PipelineResult": "pipeline",
+    "run_pipeline": "pipeline",
+    "negative_sampling_weights": "sampling",
+    "query_sampling_weights": "sampling",
+    "sample_batch": "sampling",
+    "SpConfig": "sp",
+    "nn_dist": "sp",
+    "sp_score": "sp",
+    "sp_score_embedded": "sp",
+    "sp_score_with_subsamples": "sp",
+    "srp_matrix": "srp",
+    "srp_project": "srp",
+    "candidate_sets": "thresholding",
+    "cantelli_bound": "thresholding",
+    "cantelli_partition": "thresholding",
+}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CandidateSets",
-    "Dataset",
-    "HyperParams",
-    "OutlierScores",
-    "RepresentationModel",
-    "Triplet",
-    "validate",
-    "auc",
-    "downsample_to_rate",
-    "load_csv",
-    "load_libsvm",
-    "minmax_scale",
-    "synth_gaussian_with_outliers",
-    "write_csv",
-    "write_libsvm",
-    "OptimizerState",
-    "TrainReport",
-    "adadelta_step",
-    "embed",
-    "load_model",
-    "loss_gradient",
-    "save_model",
-    "train",
-    "transform",
-    "triplet_loss",
-    "PipelineResult",
-    "run_pipeline",
-    "negative_sampling_weights",
-    "query_sampling_weights",
-    "sample_batch",
-    "SpConfig",
-    "nn_dist",
-    "sp_score",
-    "sp_score_embedded",
-    "sp_score_with_subsamples",
-    "srp_matrix",
-    "srp_project",
-    "candidate_sets",
-    "cantelli_bound",
-    "cantelli_partition",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -130,6 +130,7 @@ def _hyperparams(settings: dict):
 
 def _load_dataset(settings: dict):
     from . import ingest
+    from .data import require_valid
 
     path = settings["input"]
     if not path:
@@ -145,6 +146,7 @@ def _load_dataset(settings: dict):
         dataset = ingest.load_libsvm(path)
     else:
         raise ValueError(f"unknown format {fmt!r}")
+    require_valid(dataset)
     if settings.get("normalize"):
         dataset = ingest.minmax_scale(dataset)
     return dataset
@@ -163,7 +165,6 @@ _PIPELINE_DEFAULTS = {
     "format": "auto",
     "label_column": "",
     "normalize": False,
-    "backend": "kd_tree",
     "subsample_size": 8,
     "ensemble_size": 50,
     "alpha": 1.732,
@@ -190,7 +191,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     dataset = _load_dataset(settings)
     params = _hyperparams(settings)
 
-    result = run_pipeline(dataset, params, backend=settings["backend"])
+    result = run_pipeline(dataset, params)
 
     artifacts = ["model.repen", "embedded.csv", "scores.csv"]
     learner.save_model(result.model, out_dir / "model.repen")
@@ -266,7 +267,6 @@ def cmd_score(args: argparse.Namespace) -> int:
     config = sp.SpConfig(
         subsample_size=args.subsample_size,
         ensemble_size=args.ensemble_size,
-        backend=args.backend,
         rng_seed=args.seed,
     )
     scores = sp.sp_score_embedded(dataset, model, config)
@@ -315,7 +315,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     out_dir = Path(settings["output_dir"] or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     params = _hyperparams(settings)
-    backend = settings["backend"]
     artifacts = []
 
     if kind == "scalability":
@@ -325,7 +324,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             dims=settings["dims"],
             size_sweep_dim=settings["size_sweep_dim"],
             dim_sweep_size=settings["dim_sweep_size"],
-            backend=backend,
             outlier_rate=settings["outlier_rate"],
             d_relevant=settings["d_relevant"],
             separation=settings["separation"],
@@ -341,7 +339,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         dataset = _load_dataset(settings)
         if kind == "comparison":
             rows, summary = experiments.run_comparison(
-                dataset, params, repeats=settings["repeats"], backend=backend
+                dataset, params, repeats=settings["repeats"]
             )
             write_rows_csv(out_dir / "comparison_summary.csv", summary,
                            ("method", "mean_auc", "std_auc", "mean_detect_seconds"))
@@ -351,14 +349,14 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         elif kind == "labeled_curve":
             rows = experiments.run_labeled_curve(
                 dataset, params, settings["l_values"],
-                repeats=settings["repeats"], backend=backend,
+                repeats=settings["repeats"],
             )
             csv_path = out_dir / "labeled_curve_rows.csv"
             plot = ("labeled_curve.gp", 3, 5, "AUC vs labeled outliers", "labeled outliers", "auc")
         else:
             m_values = settings["m_values"] or list(experiments.DEFAULT_M_GRID)
             rows = experiments.run_dim_sensitivity(
-                dataset, params, m_values, repeats=settings["repeats"], backend=backend
+                dataset, params, m_values, repeats=settings["repeats"]
             )
             csv_path = out_dir / "dim_sensitivity_rows.csv"
             plot = ("dim_sensitivity.gp", 2, 5, "AUC vs representation dimension",
@@ -434,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_score.add_argument("--format", default="auto")
     p_score.add_argument("--label-column", default=None)
     p_score.add_argument("--normalize", action="store_true")
-    p_score.add_argument("--backend", default="kd_tree")
     p_score.add_argument("--subsample-size", type=int, default=8)
     p_score.add_argument("--ensemble-size", type=int, default=50)
     p_score.add_argument("--seed", type=int, default=0)

@@ -141,6 +141,13 @@ def validate(dataset: Dataset) -> list[str]:
     return issues
 
 
+def require_valid(dataset: Dataset) -> None:
+    """Raise one ValueError naming every violation ``validate`` finds."""
+    issues = validate(dataset)
+    if issues:
+        raise ValueError("invalid dataset: " + "; ".join(issues))
+
+
 @dataclass
 class OutlierScores:
     """Per-object outlierness (higher = more outlying) with its moments.

@@ -28,11 +28,10 @@ from .thresholding import candidate_sets
 DEFAULT_M_GRID = (1, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100)
 
 
-def _detect_config(params: HyperParams, rng_seed: int, backend: str) -> sp.SpConfig:
+def _detect_config(params: HyperParams, rng_seed: int) -> sp.SpConfig:
     return sp.SpConfig(
         subsample_size=params.subsample_size,
         ensemble_size=params.ensemble_size,
-        backend=backend,
         rng_seed=rng_seed,
     )
 
@@ -46,7 +45,6 @@ def run_comparison(
     dataset: Dataset,
     params: HyperParams,
     repeats: int = 10,
-    backend: str = "kd_tree",
 ) -> tuple[list[dict], list[dict]]:
     """Compare detection in the original space against the learned space.
 
@@ -60,9 +58,9 @@ def run_comparison(
     for rep in range(repeats):
         p = replace(params, rng_seed=params.rng_seed + rep)
         seed_orig, _, seed_emb = stage_seeds(p.rng_seed)
-        result = run_pipeline(dataset, p, backend=backend)
+        result = run_pipeline(dataset, p)
 
-        cfg_orig = _detect_config(p, seed_orig, backend)
+        cfg_orig = _detect_config(p, seed_orig)
         _, t_orig = timed_median(lambda: sp.sp_score(dataset, cfg_orig))
         rows.append(
             {
@@ -76,7 +74,7 @@ def run_comparison(
             }
         )
 
-        cfg_emb = _detect_config(p, seed_emb, backend)
+        cfg_emb = _detect_config(p, seed_emb)
         _, t_emb = timed_median(lambda: sp.sp_score(result.embedded, cfg_emb))
         rows.append(
             {
@@ -117,7 +115,6 @@ def run_labeled_curve(
     params: HyperParams,
     l_values: Sequence[int],
     repeats: int = 10,
-    backend: str = "kd_tree",
 ) -> list[dict]:
     """Detection quality as a function of the number of labeled outliers.
 
@@ -147,8 +144,8 @@ def run_labeled_curve(
                     pool, size=l, replace=False
                 )
                 ds = Dataset(dataset.values, dataset.labels, known_outliers=draw)
-            result = run_pipeline(ds, p, backend=backend)
-            cfg = _detect_config(p, seed_emb, backend)
+            result = run_pipeline(ds, p)
+            cfg = _detect_config(p, seed_emb)
             _, t_emb = timed_median(lambda: sp.sp_score(result.embedded, cfg))
             rows.append(
                 {
@@ -169,7 +166,6 @@ def run_dim_sensitivity(
     params: HyperParams,
     m_values: Sequence[int] = DEFAULT_M_GRID,
     repeats: int = 10,
-    backend: str = "kd_tree",
 ) -> list[dict]:
     """Sweep the representation dimension over ``m_values``."""
     if dataset.labels is None:
@@ -179,8 +175,8 @@ def run_dim_sensitivity(
         for m in m_values:
             p = replace(params, rep_dim=m, rng_seed=params.rng_seed + rep)
             _, _, seed_emb = stage_seeds(p.rng_seed)
-            result = run_pipeline(dataset, p, backend=backend)
-            cfg = _detect_config(p, seed_emb, backend)
+            result = run_pipeline(dataset, p)
+            cfg = _detect_config(p, seed_emb)
             _, t_emb = timed_median(lambda: sp.sp_score(result.embedded, cfg))
             rows.append(
                 {
@@ -201,7 +197,6 @@ def _scalability_cell(
     d: int,
     params: HyperParams,
     axis: str,
-    backend: str,
     outlier_rate: float,
     d_relevant: int,
     separation: float,
@@ -214,13 +209,13 @@ def _scalability_cell(
 
     def one_run():
         t0 = time.perf_counter()
-        scores = sp.sp_score(dataset, _detect_config(params, seed_orig, backend))
+        scores = sp.sp_score(dataset, _detect_config(params, seed_orig))
         sets = candidate_sets(scores, params.alpha)
         model, _ = train(dataset, sets, scores, replace(params, rng_seed=seed_train))
         t1 = time.perf_counter()
         embedded = transform(model, dataset)
         t2 = time.perf_counter()
-        sp.sp_score(embedded, _detect_config(params, seed_emb, backend))
+        sp.sp_score(embedded, _detect_config(params, seed_emb))
         t3 = time.perf_counter()
         return t1 - t0, t2 - t1, t3 - t2
 
@@ -245,7 +240,6 @@ def run_scalability(
     dims: Sequence[int] = (),
     size_sweep_dim: int = 10000,
     dim_sweep_size: int = 10000,
-    backend: str = "kd_tree",
     outlier_rate: float = 0.02,
     d_relevant: int = 10,
     separation: float = 6.0,
@@ -260,14 +254,14 @@ def run_scalability(
     for n in sizes:
         rows.append(
             _scalability_cell(
-                n, size_sweep_dim, params, "size", backend,
+                n, size_sweep_dim, params, "size",
                 outlier_rate, d_relevant, separation,
             )
         )
     for d in dims:
         rows.append(
             _scalability_cell(
-                dim_sweep_size, d, params, "dimension", backend,
+                dim_sweep_size, d, params, "dimension",
                 outlier_rate, d_relevant, separation,
             )
         )

@@ -245,7 +245,6 @@ def train(
     sets: CandidateSets,
     scores: OutlierScores,
     params: HyperParams,
-    labeled=None,
 ) -> tuple[RepresentationModel, TrainReport]:
     """Learn representation weights from candidate sets and their scores.
 
@@ -255,16 +254,14 @@ def train(
     and the held-out evaluation batch, so runs are reproducible from
     ``params.rng_seed`` alone and independent of evaluation order.
 
-    When ``labeled`` is omitted, the dataset's own ``known_outliers`` (if
-    any) serve as the labeled pool.
+    The dataset's ``known_outliers`` (if any) serve as the labeled pool.
     """
     params.validate()
     d = dataset.n_features
     m = params.rep_dim
     if m > d:
         raise ValueError(f"rep_dim must be <= n_features, got {m} > {d}")
-    if labeled is None:
-        labeled = dataset.known_outliers
+    labeled = dataset.known_outliers
 
     root = np.random.SeedSequence(params.rng_seed)
     init_ss, batch_ss, eval_ss = root.spawn(3)
@@ -337,6 +334,8 @@ def load_model(path) -> RepresentationModel:
         blob = handle.read()
     if blob[:4] != _MODEL_MAGIC:
         raise ValueError("not a representation model file (bad magic)")
+    if len(blob) < 24:
+        raise ValueError(f"model file truncated: {len(blob)} bytes, header needs 24")
     version, d, m = struct.unpack("<IQQ", blob[4:24])
     if version != _MODEL_VERSION:
         raise ValueError(f"unsupported model version {version}")

@@ -16,7 +16,14 @@ from typing import Optional
 import numpy as np
 
 from . import learner, sp
-from .data import CandidateSets, Dataset, HyperParams, OutlierScores, RepresentationModel
+from .data import (
+    CandidateSets,
+    Dataset,
+    HyperParams,
+    OutlierScores,
+    RepresentationModel,
+    require_valid,
+)
 from .evaluation import auc
 from .thresholding import candidate_sets
 
@@ -63,12 +70,7 @@ def _masked_auc(scores: OutlierScores, dataset: Dataset) -> Optional[float]:
     return auc(scores.scores[mask], labels)
 
 
-def run_pipeline(
-    dataset: Dataset,
-    params: HyperParams,
-    labeled=None,
-    backend: str = "kd_tree",
-) -> PipelineResult:
+def run_pipeline(dataset: Dataset, params: HyperParams) -> PipelineResult:
     """Run the full pipeline on one dataset with one seed.
 
     ``train_seconds`` covers the offline phase (original-space scoring,
@@ -77,6 +79,7 @@ def run_pipeline(
     repeats per scoring pass.
     """
     params.validate()
+    require_valid(dataset)
     seed_orig, seed_train, seed_emb = stage_seeds(params.rng_seed)
     sp_common = dict(
         subsample_size=params.subsample_size, ensemble_size=params.ensemble_size
@@ -84,22 +87,18 @@ def run_pipeline(
 
     t0 = time.perf_counter()
     original_scores = sp.sp_score(
-        dataset, sp.SpConfig(backend=backend, rng_seed=seed_orig, **sp_common)
+        dataset, sp.SpConfig(rng_seed=seed_orig, **sp_common)
     )
     sets = candidate_sets(original_scores, params.alpha)
     model, report = learner.train(
-        dataset,
-        sets,
-        original_scores,
-        _with_seed(params, seed_train),
-        labeled=labeled,
+        dataset, sets, original_scores, _with_seed(params, seed_train)
     )
     embedded = learner.transform(model, dataset)
     train_seconds = time.perf_counter() - t0
 
     t1 = time.perf_counter()
     embedded_scores = sp.sp_score(
-        embedded, sp.SpConfig(backend=backend, rng_seed=seed_emb, **sp_common)
+        embedded, sp.SpConfig(rng_seed=seed_emb, **sp_common)
     )
     detect_seconds = time.perf_counter() - t1
 

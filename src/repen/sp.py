@@ -9,12 +9,11 @@ An object never counts as its own nearest neighbor: when a query belongs to
 the subsample it is excluded from the candidates, and if the exclusion
 empties the subsample the member contributes distance 0 for that object.
 
-Backends: ``brute_force`` computes distances via the expansion
-||a - b||^2 = ||a||^2 + ||b||^2 - 2<a, b> with precomputed norms (this is
-the only kernel sparse data needs); ``kd_tree`` indexes each subsample once
-and answers all queries from the index, but only up to KD_MAX_DIM
-dimensions, beyond which indexing stops paying off and the brute-force
-kernel is used instead.
+All ensemble members are scored by one kernel: the subsample rows of every
+member are stacked, one matrix product against them gives every object's
+squared distance to every subsample row through the expansion
+||a - b||^2 = ||a||^2 + ||b||^2 - 2<a, b>, and each member's minimum is
+taken over its own columns. The kernel works on dense and CSR input alike.
 """
 
 from __future__ import annotations
@@ -24,24 +23,20 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial import cKDTree
 
 from .data import Dataset, OutlierScores, RepresentationModel
 
-# Dimension limit for k-d-tree indexing; higher-dimensional inputs fall back
-# to the brute-force kernel.
-KD_MAX_DIM = 30
-
-_BACKENDS = ("brute_force", "kd_tree")
+# Entries (float64) in one block of the object-by-subsample-row distance
+# matrix; rows are processed in blocks of this size to bound memory.
+BLOCK_ENTRIES = 1 << 22
 
 
 @dataclass
 class SpConfig:
-    """Detector settings: subsample size, ensemble size, backend, seed."""
+    """Detector settings: subsample size, ensemble size, seed."""
 
     subsample_size: int = 8
     ensemble_size: int = 50
-    backend: str = "brute_force"
     rng_seed: int = 0
 
     def validate(self) -> None:
@@ -49,8 +44,6 @@ class SpConfig:
             raise ValueError(f"subsample_size >= 1 required, got {self.subsample_size}")
         if self.ensemble_size < 1:
             raise ValueError(f"ensemble_size >= 1 required, got {self.ensemble_size}")
-        if self.backend not in _BACKENDS:
-            raise ValueError(f"backend must be one of {_BACKENDS}, got {self.backend!r}")
 
 
 def nn_dist(query, subsample, query_index=None, subsample_indices=None) -> float:
@@ -83,48 +76,6 @@ def nn_dist(query, subsample, query_index=None, subsample_indices=None) -> float
     return float(np.min(np.einsum("ij,ij->i", diff, diff)))
 
 
-def _squared_dists(values, norms, subsample_idx) -> np.ndarray:
-    """(N, s) squared distances from every object to the subsample rows."""
-    block = values[subsample_idx]
-    gram = values @ block.T
-    if sp.issparse(gram):
-        gram = gram.toarray()
-    gram = np.asarray(gram)
-    d2 = norms[:, None] + norms[subsample_idx][None, :] - 2.0 * gram
-    np.maximum(d2, 0.0, out=d2)
-    return d2
-
-
-def _member_dists_brute(values, norms, subsample_idx) -> np.ndarray:
-    d2 = _squared_dists(values, norms, subsample_idx)
-    d2[subsample_idx, np.arange(subsample_idx.size)] = np.inf
-    out = d2.min(axis=1)
-    out[~np.isfinite(out)] = 0.0
-    return out
-
-
-def _member_dists_kd(values, subsample_idx) -> np.ndarray:
-    n = values.shape[0]
-    points = values[subsample_idx]
-    tree = cKDTree(points)
-    k = min(2, subsample_idx.size)
-    dist, idx = tree.query(values, k=k)
-    if k == 1:
-        dist = dist[:, None]
-        idx = idx[:, None]
-    # Position of each object inside the subsample (-1 when absent), used to
-    # skip the self-match returned by the tree.
-    pos = np.full(n, -1, dtype=np.int64)
-    pos[subsample_idx] = np.arange(subsample_idx.size)
-    nearest = dist[:, 0].copy()
-    self_first = idx[:, 0] == pos
-    if k > 1:
-        nearest[self_first] = dist[self_first, 1]
-    else:
-        nearest[self_first] = 0.0
-    return nearest * nearest
-
-
 def draw_subsamples(n_objects: int, config: SpConfig) -> list[np.ndarray]:
     """Draw the ensemble's subsample index lists from member-indexed streams.
 
@@ -145,31 +96,39 @@ def draw_subsamples(n_objects: int, config: SpConfig) -> list[np.ndarray]:
     ]
 
 
-def member_nn_dists(values, subsamples: Sequence[np.ndarray], backend: str = "brute_force") -> np.ndarray:
+def member_nn_dists(values, subsamples: Sequence[np.ndarray]) -> np.ndarray:
     """(N, m) nearest-subsample-member squared distances, one column per member.
 
-    ``kd_tree`` is honored only for dense inputs of dimension <= KD_MAX_DIM.
+    Members may differ in size. Each object's own subsample row is excluded
+    from its member's minimum; a member left empty by that gives 0.
     """
-    n, d = values.shape
-    use_kd = backend == "kd_tree" and d <= KD_MAX_DIM and not sp.issparse(values)
-    out = np.empty((n, len(subsamples)), dtype=np.float64)
-    if use_kd:
-        values = np.ascontiguousarray(values)
-        for j, idx in enumerate(subsamples):
-            out[:, j] = _member_dists_kd(values, np.asarray(idx, dtype=np.int64))
-        return out
+    n = values.shape[0]
+    idx = np.concatenate([np.asarray(s, dtype=np.int64) for s in subsamples])
+    offsets = np.cumsum([0] + [len(s) for s in subsamples[:-1]])
     if sp.issparse(values):
         norms = np.asarray(values.multiply(values).sum(axis=1)).ravel()
     else:
         norms = np.einsum("ij,ij->i", values, values)
-    for j, idx in enumerate(subsamples):
-        out[:, j] = _member_dists_brute(values, norms, np.asarray(idx, dtype=np.int64))
+    points_t = values[idx].T
+    point_norms = norms[idx]
+    columns = np.arange(idx.size)
+    out = np.empty((n, len(subsamples)), dtype=np.float64)
+    step = max(1, BLOCK_ENTRIES // idx.size)
+    for start in range(0, n, step):
+        stop = min(n, start + step)
+        gram = values[start:stop] @ points_t
+        if sp.issparse(gram):
+            gram = gram.toarray()
+        d2 = norms[start:stop, None] + point_norms[None, :] - 2.0 * gram
+        np.maximum(d2, 0.0, out=d2)
+        own = (idx >= start) & (idx < stop)
+        d2[idx[own] - start, columns[own]] = np.inf
+        out[start:stop] = np.minimum.reduceat(d2, offsets, axis=1)
+    out[~np.isfinite(out)] = 0.0
     return out
 
 
-def sp_score_with_subsamples(
-    dataset, subsamples: Sequence[np.ndarray], backend: str = "brute_force"
-) -> OutlierScores:
+def sp_score_with_subsamples(dataset, subsamples: Sequence[np.ndarray]) -> OutlierScores:
     """Score against explicit subsample index lists (no randomness).
 
     Accepts a Dataset or a raw matrix. This is the permutation-equivariant
@@ -182,7 +141,7 @@ def sp_score_with_subsamples(
             raise ValueError("subsample index lists must be non-empty")
         if np.unique(idx).size != len(idx):
             raise ValueError("subsample index lists must not contain duplicates")
-    dists = member_nn_dists(values, subsamples, backend=backend)
+    dists = member_nn_dists(values, subsamples)
     return OutlierScores.from_scores(dists.mean(axis=1))
 
 
@@ -195,7 +154,7 @@ def sp_score(dataset: Dataset, config: SpConfig) -> OutlierScores:
     ensemble. Deterministic given ``config.rng_seed``.
     """
     subsamples = draw_subsamples(dataset.n_objects, config)
-    return sp_score_with_subsamples(dataset, subsamples, backend=config.backend)
+    return sp_score_with_subsamples(dataset, subsamples)
 
 
 def sp_score_embedded(
@@ -203,9 +162,8 @@ def sp_score_embedded(
 ) -> OutlierScores:
     """Score in the model's representation space.
 
-    Equal to ``sp_score`` applied to the transformed dataset; with the
-    ``kd_tree`` backend each subsample is indexed once and all queries run
-    against the index.
+    Equal to ``sp_score`` applied to the transformed dataset, at the cost of
+    scoring in the model's M dimensions instead of the input's D.
     """
     if model.n_features != dataset.n_features:
         raise ValueError(
@@ -215,4 +173,4 @@ def sp_score_embedded(
     embedded = np.asarray(embedded)
     np.maximum(embedded, 0.0, out=embedded)
     subsamples = draw_subsamples(dataset.n_objects, config)
-    return sp_score_with_subsamples(embedded, subsamples, backend=config.backend)
+    return sp_score_with_subsamples(embedded, subsamples)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repen.data import Dataset
+from repen.sp import nn_dist
 
 
 def datasets_equal(a: Dataset, b: Dataset) -> bool:
@@ -30,6 +31,17 @@ def pairwise_auc_oracle(scores, labels) -> float:
     wins = (out[:, None] > inl[None, :]).sum()
     ties = (out[:, None] == inl[None, :]).sum()
     return (wins + 0.5 * ties) / (out.size * inl.size)
+
+
+def nn_dist_reference(values, subsamples) -> np.ndarray:
+    """(N, m) member distances from one ``nn_dist`` call per object and member."""
+    values = np.asarray(values.toarray() if hasattr(values, "toarray") else values)
+    out = np.empty((values.shape[0], len(subsamples)))
+    for j, sub in enumerate(subsamples):
+        members = values[sub]
+        for i, row in enumerate(values):
+            out[i, j] = nn_dist(row, members, i, sub)
+    return out
 
 
 @pytest.fixture

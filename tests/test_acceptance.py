@@ -27,11 +27,11 @@ from repen.ingest import synth_gaussian_with_outliers
 from repen.learner import loss_gradient, train, transform, triplet_loss
 from repen.pipeline import run_pipeline, stage_seeds
 from repen.sampling import sample_batch_arrays
-from repen.sp import SpConfig, sp_score
+from repen.sp import SpConfig, draw_subsamples, sp_score
 from repen.thresholding import candidate_sets, cantelli_bound, cantelli_partition
 from repen.cli import main as cli_main
 
-from conftest import pairwise_auc_oracle
+from conftest import nn_dist_reference, pairwise_auc_oracle
 from test_learner import finite_difference_gradient, relative_gradient_error
 
 
@@ -80,9 +80,9 @@ class TestCriterion01GradientOracle:
         _passline(f"1 gradient-oracle (max rel err {worst:.2e}, {elapsed:.1f}s)")
 
 
-class TestCriterion02BackendEquivalence:
-    def test_kd_tree_equals_brute_force(self):
-        """50 random datasets, N <= 2000, dim <= 20, agreement within 1e-9."""
+class TestCriterion02KernelReference:
+    def test_fused_kernel_equals_nn_dist(self):
+        """50 random datasets, N <= 2000, dim <= 20, agreement with nn_dist within 1e-9."""
         rng = np.random.default_rng(202)
         start = time.perf_counter()
         worst = 0.0
@@ -90,18 +90,18 @@ class TestCriterion02BackendEquivalence:
             n = int(rng.integers(20, 2001))
             d = int(rng.integers(1, 21))
             ds = Dataset(rng.standard_normal((n, d)) * rng.uniform(0.2, 5.0))
-            cfg = dict(
+            cfg = SpConfig(
                 subsample_size=int(rng.integers(1, min(n, 17))),
                 ensemble_size=int(rng.integers(1, 51)),
                 rng_seed=trial,
             )
-            brute = sp_score(ds, SpConfig(backend="brute_force", **cfg))
-            kd = sp_score(ds, SpConfig(backend="kd_tree", **cfg))
-            worst = max(worst, float(np.abs(brute.scores - kd.scores).max()))
+            fused = sp_score(ds, cfg)
+            reference = nn_dist_reference(ds.values, draw_subsamples(n, cfg)).mean(axis=1)
+            worst = max(worst, float(np.abs(fused.scores - reference).max()))
         elapsed = time.perf_counter() - start
-        assert worst < 1e-9, f"max backend score difference {worst:.3e}"
-        assert elapsed < 60.0, f"backend equivalence took {elapsed:.1f}s"
-        _passline(f"2 sp-backend-equivalence (max diff {worst:.2e}, {elapsed:.1f}s)")
+        assert worst < 1e-9, f"max kernel-reference score difference {worst:.3e}"
+        assert elapsed < 60.0, f"kernel reference check took {elapsed:.1f}s"
+        _passline(f"2 sp-kernel-reference (max diff {worst:.2e}, {elapsed:.1f}s)")
 
 
 class TestCriterion03AucOracle:
@@ -222,22 +222,21 @@ class TestCriterion06DetectionQuality:
 
 
 class TestCriterion07SpeedupDirection:
-    def test_embedded_kd_tree_scoring_at_least_5x_faster(self):
-        """Scoring-only speedup of the 20-D embedding over 10,000-D brute force."""
+    def test_embedded_scoring_at_least_5x_faster(self):
+        """Scoring-only speedup of the 20-D embedding over 10,000-D, same kernel."""
         start = time.perf_counter()
         ds = synth_gaussian_with_outliers(3920, 80, 10, 9990, 6.0, seed=1)
         params = HyperParams(n_epochs=5, rng_seed=1)
         result = run_pipeline(ds, params)
 
-        cfg_orig = SpConfig(backend="brute_force", rng_seed=7)
-        cfg_emb = SpConfig(backend="kd_tree", rng_seed=7)
+        cfg = SpConfig(rng_seed=7)
         times_orig, times_emb = [], []
         for _ in range(3):
             t0 = time.perf_counter()
-            sp_score(ds, cfg_orig)
+            sp_score(ds, cfg)
             times_orig.append(time.perf_counter() - t0)
             t0 = time.perf_counter()
-            sp_score(result.embedded, cfg_emb)
+            sp_score(result.embedded, cfg)
             times_emb.append(time.perf_counter() - t0)
         t_orig = float(np.median(times_orig))
         t_emb = float(np.median(times_emb))

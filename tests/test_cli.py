@@ -1,8 +1,13 @@
 """Command-line interface: subcommands, config handling, artifacts."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repen
 from repen.cli import main, parse_config_file
 from repen.ingest import load_csv, load_libsvm
 
@@ -144,6 +149,21 @@ class TestPipelineCommand:
         assert rc != 0
         assert "unknown config key" in capsys.readouterr().err
 
+    def test_non_finite_input_rejected_before_training(self, tmp_path, capsys):
+        data = _write_synth(tmp_path, "csv")
+        lines = data.read_text().splitlines()
+        cells = lines[5].split(",")
+        cells[0] = "nan"
+        lines[5] = ",".join(cells)
+        data.write_text("\n".join(lines) + "\n")
+        out_dir = tmp_path / "run"
+        rc = main(["pipeline", "--input", str(data), "--output-dir", str(out_dir),
+                   "--label-column", "label", "--rep-dim", "6"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "non-finite values" in err
+        assert not (out_dir / "model.repen").exists()
+
 
 class TestScoreCommand:
     def test_scores_saved_model(self, tmp_path):
@@ -164,6 +184,27 @@ class TestScoreCommand:
         lines = scores_out.read_text().splitlines()
         assert lines[0] == "index,score"
         assert len(lines) == 87
+
+    def test_model_shorter_than_header_is_a_clean_error(self, tmp_path, capsys):
+        data = _write_synth(tmp_path, "csv")
+        model = tmp_path / "model.repen"
+        model.write_bytes(b"RPNM\x01\x00")
+        rc = main(["score", "--model", str(model), "--input", str(data),
+                   "--label-column", "label", "--output", str(tmp_path / "s.csv")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "truncated" in err
+        assert len(err.strip().splitlines()) == 1
+
+
+def test_importing_the_cli_does_not_load_numpy():
+    # The BLAS thread settings only take effect if numpy is not loaded yet.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repen.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, repen.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 class TestDownsampleCommand:

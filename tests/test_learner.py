@@ -23,6 +23,7 @@ from repen.learner import (
     transform,
     triplet_loss,
 )
+from repen.pipeline import run_pipeline
 from repen.sp import SpConfig, sp_score
 from repen.thresholding import candidate_sets
 
@@ -276,11 +277,29 @@ class TestTrain:
 
     def test_labeled_pool_used(self):
         ds, sets, scores = _training_inputs(n_in=80, n_out=10, d=30)
-        labeled = np.flatnonzero(ds.labels)[:4]
+        known = Dataset(ds.values, ds.labels, known_outliers=np.flatnonzero(ds.labels)[:4])
         params = HyperParams(rep_dim=4, n_epochs=1, samples_per_epoch=256,
                              batch_size=64, rng_seed=2)
-        model, _ = train(ds, sets, scores, params, labeled=labeled)
+        model, _ = train(known, sets, scores, params)
+        unlabeled, _ = train(ds, sets, scores, params)
         assert model.rep_dim == 4
+        assert not np.array_equal(model.weights, unlabeled.weights)
+
+    def test_known_outliers_are_the_only_labeled_source(self):
+        ds, sets, scores = _training_inputs(n_in=40, n_out=4, d=20)
+        params = HyperParams(rep_dim=4, n_epochs=1, rng_seed=2)
+        labeled = np.flatnonzero(ds.labels)[:2]
+        with pytest.raises(TypeError, match="labeled"):
+            train(ds, sets, scores, params, labeled=labeled)
+        with pytest.raises(TypeError, match="labeled"):
+            run_pipeline(ds, params, labeled=labeled)
+
+    def test_pipeline_rejects_non_finite_data(self):
+        ds, _, _ = _training_inputs(n_in=40, n_out=4, d=20)
+        values = ds.values.copy()
+        values[3, 7] = np.inf
+        with pytest.raises(ValueError, match="non-finite values"):
+            run_pipeline(Dataset(values, ds.labels), HyperParams(rep_dim=4, n_epochs=1))
 
     def test_rep_dim_larger_than_d_rejected(self):
         ds, sets, scores = _training_inputs(n_in=30, n_out=3, d=10)

@@ -1,12 +1,13 @@
-"""Random-distance detector: kernels, backends, ensemble properties."""
+"""Random-distance detector: the scoring kernel, ensemble properties."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sps
 
+from repen import sp
 from repen.data import Dataset, RepresentationModel
 from repen.ingest import synth_gaussian_with_outliers
 from repen.sp import (
-    KD_MAX_DIM,
     SpConfig,
     draw_subsamples,
     member_nn_dists,
@@ -15,6 +16,8 @@ from repen.sp import (
     sp_score_embedded,
     sp_score_with_subsamples,
 )
+
+from conftest import nn_dist_reference
 
 
 class TestNnDist:
@@ -76,36 +79,54 @@ class TestSpScore:
         np.testing.assert_allclose(a.scores, b.scores, atol=1e-9)
 
 
-class TestBackendEquivalence:
-    def test_kd_tree_matches_brute_force(self, rng):
-        for trial in range(20):
-            n = int(rng.integers(30, 400))
+def _ragged_subsamples(rng, n, members=7):
+    """Member index lists of sizes 1 to 9 (capped below n), no duplicates within one."""
+    return [
+        rng.choice(n, size=int(rng.integers(1, min(n, 10))), replace=False)
+        for _ in range(members)
+    ]
+
+
+class TestKernelReference:
+    def test_kernel_matches_nn_dist_on_ragged_members(self, rng):
+        for _ in range(20):
+            n = int(rng.integers(2, 120))
             d = int(rng.integers(1, 21))
             values = rng.standard_normal((n, d)) * rng.uniform(0.5, 3.0)
-            ds = Dataset(values)
-            cfg = dict(
-                subsample_size=int(rng.integers(1, min(n, 16))),
-                ensemble_size=int(rng.integers(1, 12)),
-                rng_seed=trial,
+            subs = _ragged_subsamples(rng, n)
+            np.testing.assert_allclose(
+                member_nn_dists(values, subs), nn_dist_reference(values, subs), atol=1e-9
             )
-            a = sp_score(ds, SpConfig(backend="brute_force", **cfg))
-            b = sp_score(ds, SpConfig(backend="kd_tree", **cfg))
-            np.testing.assert_allclose(a.scores, b.scores, atol=1e-9)
 
-    def test_kd_tree_falls_back_above_dim_limit(self, rng):
-        values = rng.standard_normal((40, KD_MAX_DIM + 5))
-        ds = Dataset(values)
-        a = sp_score(ds, SpConfig(backend="kd_tree", rng_seed=1, subsample_size=4))
-        b = sp_score(ds, SpConfig(backend="brute_force", rng_seed=1, subsample_size=4))
-        assert np.array_equal(a.scores, b.scores)
+    def test_csr_matches_nn_dist(self, rng):
+        values = rng.standard_normal((60, 40))
+        values[rng.random((60, 40)) < 0.8] = 0.0
+        subs = _ragged_subsamples(rng, 60)
+        got = member_nn_dists(sps.csr_matrix(values), subs)
+        np.testing.assert_allclose(got, nn_dist_reference(values, subs), atol=1e-9)
 
     def test_duplicate_points_handled(self):
         values = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [5.0, 5.0]])
         subs = [np.array([0, 1, 3])]
-        a = sp_score_with_subsamples(Dataset(values), subs, backend="brute_force")
-        b = sp_score_with_subsamples(Dataset(values), subs, backend="kd_tree")
-        np.testing.assert_allclose(a.scores, b.scores, atol=1e-12)
+        a = sp_score_with_subsamples(Dataset(values), subs)
+        np.testing.assert_allclose(a.scores, nn_dist_reference(values, subs)[:, 0], atol=1e-12)
         assert a.scores[0] == 0.0  # duplicate at distance zero, not itself
+
+    def test_one_row_subsample_containing_the_query(self, rng):
+        values = rng.standard_normal((5, 3))
+        subs = [np.array([2]), np.array([0, 2])]
+        got = member_nn_dists(values, subs)
+        assert got[2, 0] == 0.0  # the member is emptied by excluding the query
+        np.testing.assert_allclose(got, nn_dist_reference(values, subs), atol=1e-9)
+
+    def test_row_blocks_match_nn_dist(self, rng, monkeypatch):
+        monkeypatch.setattr(sp, "BLOCK_ENTRIES", 3)
+        for subs_of in (lambda n: [np.array([4])], lambda n: _ragged_subsamples(rng, n)):
+            for values in (rng.standard_normal((23, 4)), sps.random(23, 30, 0.3, format="csr", random_state=5)):
+                subs = subs_of(23)
+                np.testing.assert_allclose(
+                    member_nn_dists(values, subs), nn_dist_reference(values, subs), atol=1e-9
+                )
 
 
 class TestEnsembleStructure:
