@@ -16,7 +16,6 @@ from importlib import import_module
 _EXPORTS = {
     "CandidateSets": "data",
     "Dataset": "data",
-    "HyperParams": "data",
     "OutlierScores": "data",
     "RepresentationModel": "data",
     "Triplet": "data",
@@ -39,12 +38,13 @@ _EXPORTS = {
     "train": "learner",
     "transform": "learner",
     "triplet_loss": "learner",
+    "HyperParams": "params",
+    "SpConfig": "params",
     "PipelineResult": "pipeline",
     "run_pipeline": "pipeline",
     "negative_sampling_weights": "sampling",
     "query_sampling_weights": "sampling",
     "sample_batch": "sampling",
-    "SpConfig": "sp",
     "nn_dist": "sp",
     "sp_score": "sp",
     "sp_score_embedded": "sp",

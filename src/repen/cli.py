@@ -9,7 +9,8 @@ Subcommands:
     score       apply a saved model and the detector to a dataset
 
 Configuration is a flat ``key = value`` text file ('#' starts a comment);
-command-line flags override file values. Every pipeline or experiment run
+command-line flags override file values. The settings, their types and
+their defaults come from ``repen.params``. Every pipeline or experiment run
 writes a ``manifest.cfg`` of all resolved settings, sufficient to reproduce
 the run bit-exactly in single-threaded mode.
 
@@ -23,36 +24,17 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
+
+from .params import HyperParams, SpConfig
 
 _THREAD_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
-_BOOL_KEYS = {"normalize", "deterministic"}
-_INT_KEYS = {
-    "subsample_size",
-    "ensemble_size",
-    "rep_dim",
-    "query_size",
-    "n_epochs",
-    "batch_size",
-    "samples_per_epoch",
-    "rng_seed",
-    "repeats",
-    "size_sweep_dim",
-    "dim_sweep_size",
-    "d_relevant",
+_BOOLEANS = {
+    **dict.fromkeys(("1", "true", "yes", "on"), True),
+    **dict.fromkeys(("0", "false", "no", "off"), False),
 }
-_FLOAT_KEYS = {
-    "alpha",
-    "margin",
-    "optimizer_decay",
-    "optimizer_eps",
-    "labeled_fraction",
-    "rate",
-    "separation",
-    "outlier_rate",
-}
-_LIST_KEYS = {"l_values", "m_values", "sizes", "dims"}
 
 
 def parse_config_file(path: str) -> dict:
@@ -70,22 +52,18 @@ def parse_config_file(path: str) -> dict:
     return settings
 
 
-def _coerce(key: str, value):
+def _coerce(key: str, value, default):
+    """Parse a string setting to the type of its default (lists hold ints)."""
     if not isinstance(value, str):
         return value
-    if key in _BOOL_KEYS:
-        if value.lower() in ("1", "true", "yes", "on"):
-            return True
-        if value.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"invalid boolean for {key}: {value!r}")
-    if key in _INT_KEYS:
-        return int(value)
-    if key in _FLOAT_KEYS:
-        return float(value)
-    if key in _LIST_KEYS:
-        return [int(tok) for tok in value.replace(",", " ").split()]
-    return value
+    try:
+        if isinstance(default, bool):
+            return _BOOLEANS[value.lower()]
+        if isinstance(default, list):
+            return [int(tok) for tok in value.replace(",", " ").split()]
+        return type(default)(value)
+    except (KeyError, ValueError):
+        raise ValueError(f"invalid value for {key}: {value!r}") from None
 
 
 def resolve_settings(args: argparse.Namespace, defaults: dict) -> dict:
@@ -95,17 +73,17 @@ def resolve_settings(args: argparse.Namespace, defaults: dict) -> dict:
         for key, value in parse_config_file(args.config).items():
             if key not in defaults:
                 raise ValueError(f"unknown config key {key!r}")
-            settings[key] = _coerce(key, value)
-    for key in defaults:
+            settings[key] = _coerce(key, value, defaults[key])
+    for key, default in defaults.items():
         flag = getattr(args, key, None)
         if flag is not None:
-            settings[key] = _coerce(key, flag)
+            settings[key] = _coerce(key, flag, default)
     return settings
 
 
-def write_manifest(path: Path, settings: dict, artifacts: list[str]) -> None:
+def write_manifest(path: Path, settings: dict) -> None:
+    """Write the resolved settings as a config file that reproduces the run."""
     lines = [f"{key} = {_manifest_value(settings[key])}" for key in sorted(settings)]
-    lines.append(f"artifacts = {','.join(artifacts)}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -117,13 +95,8 @@ def _manifest_value(value) -> str:
     return str(value)
 
 
-def _hyperparams(settings: dict):
-    from .data import HyperParams
-
-    kwargs = {
-        name: settings[name] for name in HyperParams.field_names() if name in settings
-    }
-    params = HyperParams(**kwargs)
+def _hyperparams(settings: dict) -> HyperParams:
+    params = HyperParams(**{name: settings[name] for name in HyperParams.field_names()})
     params.validate()
     return params
 
@@ -165,19 +138,7 @@ _PIPELINE_DEFAULTS = {
     "format": "auto",
     "label_column": "",
     "normalize": False,
-    "subsample_size": 8,
-    "ensemble_size": 50,
-    "alpha": 1.732,
-    "rep_dim": 20,
-    "query_size": 1,
-    "margin": 1000.0,
-    "n_epochs": 30,
-    "batch_size": 256,
-    "samples_per_epoch": 5000,
-    "optimizer_decay": 0.95,
-    "optimizer_eps": 1e-4,
-    "rng_seed": 0,
-    "labeled_fraction": 0.5,
+    **asdict(HyperParams()),
 }
 
 
@@ -193,7 +154,6 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
     result = run_pipeline(dataset, params)
 
-    artifacts = ["model.repen", "embedded.csv", "scores.csv"]
     learner.save_model(result.model, out_dir / "model.repen")
     ingest.write_csv(result.embedded, out_dir / "embedded.csv")
     _write_scores_csv(out_dir / "scores.csv", result.embedded_scores)
@@ -203,8 +163,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
             f"auc_embedded = {result.auc_embedded!r}\n",
             encoding="utf-8",
         )
-        artifacts.append("auc.txt")
-    write_manifest(out_dir / "manifest.cfg", settings, artifacts)
+    write_manifest(out_dir / "manifest.cfg", settings)
     print(f"pipeline done: train {result.train_seconds:.2f}s, detect {result.detect_seconds:.3f}s")
     if result.auc_embedded is not None:
         print(
@@ -264,11 +223,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     }
     dataset = _load_dataset(settings)
     model = learner.load_model(args.model)
-    config = sp.SpConfig(
-        subsample_size=args.subsample_size,
-        ensemble_size=args.ensemble_size,
-        rng_seed=args.seed,
-    )
+    config = SpConfig(args.subsample_size, args.ensemble_size, args.seed)
     scores = sp.sp_score_embedded(dataset, model, config)
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -366,9 +321,20 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         write_gnuplot_script(out_dir / name, csv_path.name, x, y, title, xlabel, ylabel)
         artifacts += [csv_path.name, name]
 
-    write_manifest(out_dir / "manifest.cfg", settings, artifacts)
+    write_manifest(out_dir / "manifest.cfg", settings)
     print(f"experiment '{kind}' wrote {', '.join(artifacts)} to {out_dir}")
     return 0
+
+
+def _add_setting_flags(parser: argparse.ArgumentParser, defaults: dict) -> None:
+    """Add --config and one flag per setting; an absent flag keeps the config value."""
+    parser.add_argument("--config", help="flat key = value config file")
+    for key, default in defaults.items():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(default, bool):
+            parser.add_argument(flag, action="store_const", const=True, default=None)
+        else:
+            parser.add_argument(flag, default=None, metavar=str(default))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -383,13 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_pipe = sub.add_parser("pipeline", help="run the full pipeline on a dataset file")
-    p_pipe.add_argument("--config", help="flat key = value config file")
-    for key, default in _PIPELINE_DEFAULTS.items():
-        flag = "--" + key.replace("_", "-")
-        if key in _BOOL_KEYS:
-            p_pipe.add_argument(flag, action="store_const", const=True, default=None)
-        else:
-            p_pipe.add_argument(flag, default=None, metavar=str(default))
+    _add_setting_flags(p_pipe, _PIPELINE_DEFAULTS)
     p_pipe.set_defaults(func=cmd_pipeline)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic benchmark dataset")
@@ -405,15 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("experiment", help="run an experiment protocol")
     p_exp.add_argument("--kind", choices=_EXPERIMENT_KINDS, default=None)
-    p_exp.add_argument("--config", help="flat key = value config file")
-    for key, default in _EXPERIMENT_DEFAULTS.items():
-        if key == "kind":
-            continue
-        flag = "--" + key.replace("_", "-")
-        if key in _BOOL_KEYS:
-            p_exp.add_argument(flag, action="store_const", const=True, default=None)
-        else:
-            p_exp.add_argument(flag, default=None, metavar=str(default))
+    _add_setting_flags(
+        p_exp, {key: value for key, value in _EXPERIMENT_DEFAULTS.items() if key != "kind"}
+    )
     p_exp.set_defaults(func=cmd_experiment)
 
     p_down = sub.add_parser("downsample", help="downsample outliers to a target rate")
@@ -432,8 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_score.add_argument("--format", default="auto")
     p_score.add_argument("--label-column", default=None)
     p_score.add_argument("--normalize", action="store_true")
-    p_score.add_argument("--subsample-size", type=int, default=8)
-    p_score.add_argument("--ensemble-size", type=int, default=50)
+    p_score.add_argument("--subsample-size", type=int, default=HyperParams.subsample_size)
+    p_score.add_argument("--ensemble-size", type=int, default=HyperParams.ensemble_size)
     p_score.add_argument("--seed", type=int, default=0)
     p_score.set_defaults(func=cmd_score)
 
@@ -441,22 +395,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_thread_settings(args: argparse.Namespace) -> None:
-    threads = args.threads
-    if args.deterministic:
-        threads = 1
+    threads = 1 if args.deterministic else args.threads
     if threads is None:
         env = os.environ.get("REPEN_THREADS")
-        threads = int(env) if env else None
-    if threads is not None:
-        for var in _THREAD_ENV_VARS:
-            os.environ[var] = str(threads)
+        if not env:
+            return
+        try:
+            threads = int(env)
+        except ValueError:
+            raise ValueError(f"REPEN_THREADS must be an integer, got {env!r}") from None
+    if threads < 1:
+        raise ValueError(f"thread count >= 1 required, got {threads}")
+    for var in _THREAD_ENV_VARS:
+        os.environ[var] = str(threads)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _apply_thread_settings(args)
+    args = build_parser().parse_args(argv)
     try:
+        _apply_thread_settings(args)
         return args.func(args)
     except (ValueError, FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

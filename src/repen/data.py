@@ -7,11 +7,13 @@ their arrays, and callers should not either.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
+
+from .params import HyperParams  # noqa: F401  (re-exported)
 
 Matrix = Union[np.ndarray, sp.csr_matrix]
 
@@ -257,71 +259,3 @@ class RepresentationModel:
     @property
     def rep_dim(self) -> int:
         return self.weights.shape[1]
-
-
-# n_epochs is allowed to be 0 (a no-op training run); the other counts are >= 1.
-_COUNT_FIELDS = (
-    "subsample_size",
-    "ensemble_size",
-    "rep_dim",
-    "query_size",
-    "batch_size",
-    "samples_per_epoch",
-)
-
-
-@dataclass
-class HyperParams:
-    """Pipeline hyperparameters with their defaults.
-
-    Defaults: subsample size 8 and ensemble size 50 for the random-distance
-    detector, threshold multiplier 1.732 (a 25% false-positive bound),
-    20 representation features, single-member query sets, margin 1000,
-    30 epochs of 5000 samples in batches of 256, and ADADELTA with decay
-    0.95 / epsilon 1e-4. The epsilon default is deliberately larger than
-    the optimizer literature's 1e-6: at 1e-6 the per-coordinate step
-    equalization lets many-dimensional noise signatures of individual
-    outlier candidates out-accumulate the few shared discriminative
-    coordinates, hurting generalization to outliers the thresholding
-    missed.
-    """
-
-    subsample_size: int = 8
-    ensemble_size: int = 50
-    alpha: float = 1.732
-    rep_dim: int = 20
-    query_size: int = 1
-    margin: float = 1000.0
-    n_epochs: int = 30
-    batch_size: int = 256
-    samples_per_epoch: int = 5000
-    optimizer_decay: float = 0.95
-    optimizer_eps: float = 1e-4
-    rng_seed: int = 0
-    labeled_fraction: float = 0.5
-
-    def validate(self) -> None:
-        """Raise ValueError naming the first invalid field."""
-        for name in _COUNT_FIELDS:
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} >= 1 required, got {getattr(self, name)}")
-        if self.n_epochs < 0:
-            raise ValueError(f"n_epochs >= 0 required, got {self.n_epochs}")
-        if self.alpha < 0:
-            raise ValueError(f"alpha >= 0 required, got {self.alpha}")
-        if self.margin <= 0:
-            raise ValueError(f"margin > 0 required, got {self.margin}")
-        if not 0.0 < self.optimizer_decay < 1.0:
-            raise ValueError(
-                f"optimizer_decay in (0, 1) required, got {self.optimizer_decay}"
-            )
-        if self.optimizer_eps <= 0:
-            raise ValueError(f"optimizer_eps > 0 required, got {self.optimizer_eps}")
-        if not 0.0 <= self.labeled_fraction <= 1.0:
-            raise ValueError(
-                f"labeled_fraction in [0, 1] required, got {self.labeled_fraction}"
-            )
-
-    @classmethod
-    def field_names(cls) -> tuple[str, ...]:
-        return tuple(f.name for f in fields(cls))

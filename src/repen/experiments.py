@@ -17,23 +17,16 @@ from typing import Sequence
 import numpy as np
 
 from . import sp
-from .data import Dataset, HyperParams
+from .data import Dataset
 from .evaluation import auc, timed_median
 from .ingest import synth_gaussian_with_outliers
 from .learner import train, transform
+from .params import HyperParams
 from .pipeline import evaluation_mask, run_pipeline, stage_seeds
 from .thresholding import candidate_sets
 
 # Representation sizes swept by the dimension-sensitivity protocol.
 DEFAULT_M_GRID = (1, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100)
-
-
-def _detect_config(params: HyperParams, rng_seed: int) -> sp.SpConfig:
-    return sp.SpConfig(
-        subsample_size=params.subsample_size,
-        ensemble_size=params.ensemble_size,
-        rng_seed=rng_seed,
-    )
 
 
 def _masked(dataset: Dataset, scores: np.ndarray) -> float:
@@ -60,7 +53,7 @@ def run_comparison(
         seed_orig, _, seed_emb = stage_seeds(p.rng_seed)
         result = run_pipeline(dataset, p)
 
-        cfg_orig = _detect_config(p, seed_orig)
+        cfg_orig = p.detector(seed_orig)
         _, t_orig = timed_median(lambda: sp.sp_score(dataset, cfg_orig))
         rows.append(
             {
@@ -74,7 +67,7 @@ def run_comparison(
             }
         )
 
-        cfg_emb = _detect_config(p, seed_emb)
+        cfg_emb = p.detector(seed_emb)
         _, t_emb = timed_median(lambda: sp.sp_score(result.embedded, cfg_emb))
         rows.append(
             {
@@ -145,7 +138,7 @@ def run_labeled_curve(
                 )
                 ds = Dataset(dataset.values, dataset.labels, known_outliers=draw)
             result = run_pipeline(ds, p)
-            cfg = _detect_config(p, seed_emb)
+            cfg = p.detector(seed_emb)
             _, t_emb = timed_median(lambda: sp.sp_score(result.embedded, cfg))
             rows.append(
                 {
@@ -176,7 +169,7 @@ def run_dim_sensitivity(
             p = replace(params, rep_dim=m, rng_seed=params.rng_seed + rep)
             _, _, seed_emb = stage_seeds(p.rng_seed)
             result = run_pipeline(dataset, p)
-            cfg = _detect_config(p, seed_emb)
+            cfg = p.detector(seed_emb)
             _, t_emb = timed_median(lambda: sp.sp_score(result.embedded, cfg))
             rows.append(
                 {
@@ -209,13 +202,13 @@ def _scalability_cell(
 
     def one_run():
         t0 = time.perf_counter()
-        scores = sp.sp_score(dataset, _detect_config(params, seed_orig))
+        scores = sp.sp_score(dataset, params.detector(seed_orig))
         sets = candidate_sets(scores, params.alpha)
         model, _ = train(dataset, sets, scores, replace(params, rng_seed=seed_train))
         t1 = time.perf_counter()
         embedded = transform(model, dataset)
         t2 = time.perf_counter()
-        sp.sp_score(embedded, _detect_config(params, seed_emb))
+        sp.sp_score(embedded, params.detector(seed_emb))
         t3 = time.perf_counter()
         return t1 - t0, t2 - t1, t3 - t2
 

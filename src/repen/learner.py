@@ -33,14 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .data import (
-    CandidateSets,
-    Dataset,
-    HyperParams,
-    OutlierScores,
-    RepresentationModel,
-    Triplet,
-)
+from .data import CandidateSets, Dataset, OutlierScores, RepresentationModel, Triplet
+from .params import HyperParams
 from .sampling import sample_batch_arrays
 
 _MODEL_MAGIC = b"RPNM"

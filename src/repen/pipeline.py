@@ -16,15 +16,9 @@ from typing import Optional
 import numpy as np
 
 from . import learner, sp
-from .data import (
-    CandidateSets,
-    Dataset,
-    HyperParams,
-    OutlierScores,
-    RepresentationModel,
-    require_valid,
-)
+from .data import CandidateSets, Dataset, OutlierScores, RepresentationModel, require_valid
 from .evaluation import auc
+from .params import HyperParams
 from .thresholding import candidate_sets
 
 
@@ -81,14 +75,9 @@ def run_pipeline(dataset: Dataset, params: HyperParams) -> PipelineResult:
     params.validate()
     require_valid(dataset)
     seed_orig, seed_train, seed_emb = stage_seeds(params.rng_seed)
-    sp_common = dict(
-        subsample_size=params.subsample_size, ensemble_size=params.ensemble_size
-    )
 
     t0 = time.perf_counter()
-    original_scores = sp.sp_score(
-        dataset, sp.SpConfig(rng_seed=seed_orig, **sp_common)
-    )
+    original_scores = sp.sp_score(dataset, params.detector(seed_orig))
     sets = candidate_sets(original_scores, params.alpha)
     model, report = learner.train(
         dataset, sets, original_scores, _with_seed(params, seed_train)
@@ -97,9 +86,7 @@ def run_pipeline(dataset: Dataset, params: HyperParams) -> PipelineResult:
     train_seconds = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    embedded_scores = sp.sp_score(
-        embedded, sp.SpConfig(rng_seed=seed_emb, **sp_common)
-    )
+    embedded_scores = sp.sp_score(embedded, params.detector(seed_emb))
     detect_seconds = time.perf_counter() - t1
 
     return PipelineResult(

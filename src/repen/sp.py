@@ -18,32 +18,18 @@ taken over its own columns. The kernel works on dense and CSR input alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from .data import Dataset, OutlierScores, RepresentationModel
+from .learner import transform
+from .params import SpConfig
 
 # Entries (float64) in one block of the object-by-subsample-row distance
 # matrix; rows are processed in blocks of this size to bound memory.
 BLOCK_ENTRIES = 1 << 22
-
-
-@dataclass
-class SpConfig:
-    """Detector settings: subsample size, ensemble size, seed."""
-
-    subsample_size: int = 8
-    ensemble_size: int = 50
-    rng_seed: int = 0
-
-    def validate(self) -> None:
-        if self.subsample_size < 1:
-            raise ValueError(f"subsample_size >= 1 required, got {self.subsample_size}")
-        if self.ensemble_size < 1:
-            raise ValueError(f"ensemble_size >= 1 required, got {self.ensemble_size}")
 
 
 def nn_dist(query, subsample, query_index=None, subsample_indices=None) -> float:
@@ -160,17 +146,9 @@ def sp_score(dataset: Dataset, config: SpConfig) -> OutlierScores:
 def sp_score_embedded(
     dataset: Dataset, model: RepresentationModel, config: SpConfig
 ) -> OutlierScores:
-    """Score in the model's representation space.
+    """``sp_score`` of the dataset transformed by ``model``.
 
-    Equal to ``sp_score`` applied to the transformed dataset, at the cost of
-    scoring in the model's M dimensions instead of the input's D.
+    Distances are computed in the model's M dimensions instead of the
+    input's D.
     """
-    if model.n_features != dataset.n_features:
-        raise ValueError(
-            f"model expects {model.n_features} features, dataset has {dataset.n_features}"
-        )
-    embedded = dataset.values @ model.weights
-    embedded = np.asarray(embedded)
-    np.maximum(embedded, 0.0, out=embedded)
-    subsamples = draw_subsamples(dataset.n_objects, config)
-    return sp_score_with_subsamples(embedded, subsamples)
+    return sp_score(transform(model, dataset), config)

@@ -1,15 +1,41 @@
 """Command-line interface: subcommands, config handling, artifacts."""
 
+import argparse
 import os
+import re
 import subprocess
 import sys
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repen
-from repen.cli import main, parse_config_file
+from repen.cli import (
+    _PIPELINE_DEFAULTS,
+    _THREAD_ENV_VARS,
+    main,
+    parse_config_file,
+    resolve_settings,
+)
 from repen.ingest import load_csv, load_libsvm
+from repen.params import HyperParams
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+@pytest.fixture
+def thread_env(monkeypatch):
+    """Give the BLAS thread variables a marker value and unset REPEN_THREADS.
+
+    The CLI writes the thread variables into ``os.environ``; monkeypatch puts
+    every one back as it was when the test ends.
+    """
+    for var in _THREAD_ENV_VARS:
+        monkeypatch.setenv(var, "marker")
+    monkeypatch.delenv("REPEN_THREADS", raising=False)
+    return monkeypatch
 
 
 def _write_synth(tmp_path, fmt="csv", n_inliers=80, n_outliers=6, d_noise=45):
@@ -92,6 +118,11 @@ class TestPipelineCommand:
         assert rc != 0
         assert "rep_dim >= 1" in capsys.readouterr().err
 
+    def test_unparsable_setting_names_it(self, capsys):
+        rc = main(["pipeline", "--rep-dim", "abc"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: invalid value for rep_dim: 'abc'\n"
+
     def test_missing_input_fails(self, tmp_path, capsys):
         rc = main([
             "pipeline", "--input", str(tmp_path / "nope.csv"),
@@ -112,6 +143,21 @@ class TestPipelineCommand:
         assert rc1 == rc2 == 0
         assert (dir1 / "scores.csv").read_bytes() == (dir2 / "scores.csv").read_bytes()
         assert (dir1 / "model.repen").read_bytes() == (dir2 / "model.repen").read_bytes()
+
+    def test_manifest_reproduces_the_run(self, tmp_path, thread_env):
+        data = _write_synth(tmp_path, "csv")
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main([
+            "--deterministic", "pipeline", "--input", str(data), "--output-dir", str(first),
+            "--label-column", "label", "--rep-dim", "6", "--n-epochs", "2",
+            "--samples-per-epoch", "256", "--batch-size", "64", "--rng-seed", "3",
+        ]) == 0
+        assert main([
+            "--deterministic", "pipeline", "--config", str(first / "manifest.cfg"),
+            "--output-dir", str(second),
+        ]) == 0
+        for name in ("model.repen", "scores.csv"):
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
     def test_sparse_libsvm_input_end_to_end(self, tmp_path):
         data = _write_synth(tmp_path, "libsvm")
@@ -201,10 +247,40 @@ def test_importing_the_cli_does_not_load_numpy():
     # The BLAS thread settings only take effect if numpy is not loaded yet.
     src = os.path.dirname(os.path.dirname(os.path.abspath(repen.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, repen.cli; print('numpy' in sys.modules)"
+    code = "import sys, repen.cli; repen.cli.build_parser(); print('numpy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "flags, env, message",
+    [
+        ([], "abc", "REPEN_THREADS must be an integer, got 'abc'"),
+        (["--threads", "0"], None, "thread count >= 1 required, got 0"),
+    ],
+)
+def test_bad_thread_setting_is_a_clean_error(tmp_path, capsys, thread_env, flags, env, message):
+    if env is not None:
+        thread_env.setenv("REPEN_THREADS", env)
+    out = tmp_path / "data.csv"
+    rc = main([*flags, "synth", "--n-inliers", "20", "--n-outliers", "2", "--d-relevant", "2",
+               "--d-noise", "3", "--separation", "6.0", "--output", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == f"error: {message}\n"
+    assert all(os.environ[var] == "marker" for var in _THREAD_ENV_VARS)
+    assert not out.exists()
+
+
+def test_readme_config_example_lists_every_pipeline_key(tmp_path):
+    readme = README.read_text(encoding="utf-8")
+    block = re.search(r"Config keys .*?```\n(.*?)```", readme, re.DOTALL)
+    cfg = tmp_path / "readme.cfg"
+    cfg.write_text(block.group(1), encoding="utf-8")
+    assert set(parse_config_file(cfg)) == set(_PIPELINE_DEFAULTS)
+    settings = resolve_settings(argparse.Namespace(config=str(cfg)), _PIPELINE_DEFAULTS)
+    assert {key: settings[key] for key in HyperParams.field_names()} == asdict(HyperParams())
 
 
 class TestDownsampleCommand:
