@@ -31,5 +31,5 @@ print(f"triplet violation rate: {result.report.initial_violation_rate:.2f} -> "
 
 print(f"\nAUC in the original {data.n_features}-D space: {result.auc_original:.4f}")
 print(f"AUC in the learned {params.rep_dim}-D space:   {result.auc_embedded:.4f}")
-print(f"offline phase {result.train_seconds:.1f}s, "
-      f"online detection {result.detect_seconds * 1000:.0f}ms")
+print(f"offline phase {result.offline_seconds:.1f}s, "
+      f"online detection {result.stage_seconds['score_embedded'] * 1000:.0f}ms")

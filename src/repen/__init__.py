@@ -31,7 +31,6 @@ _EXPORTS = {
     "OptimizerState": "learner",
     "TrainReport": "learner",
     "adadelta_step": "learner",
-    "embed": "learner",
     "load_model": "learner",
     "loss_gradient": "learner",
     "save_model": "learner",
@@ -44,7 +43,6 @@ _EXPORTS = {
     "run_pipeline": "pipeline",
     "negative_sampling_weights": "sampling",
     "query_sampling_weights": "sampling",
-    "sample_batch": "sampling",
     "nn_dist": "sp",
     "sp_score": "sp",
     "sp_score_embedded": "sp",

@@ -164,7 +164,10 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
             encoding="utf-8",
         )
     write_manifest(out_dir / "manifest.cfg", settings)
-    print(f"pipeline done: train {result.train_seconds:.2f}s, detect {result.detect_seconds:.3f}s")
+    print(
+        f"pipeline done: train {result.offline_seconds:.2f}s, "
+        f"detect {result.stage_seconds['score_embedded']:.3f}s"
+    )
     if result.auc_embedded is not None:
         print(
             f"auc original {result.auc_original:.4f} -> embedded {result.auc_embedded:.4f}"

@@ -8,7 +8,7 @@ their arrays, and callers should not either.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -76,10 +76,6 @@ class Dataset:
             return self.values.toarray()
         return self.values
 
-    def as_dense(self) -> "Dataset":
-        """Return a dense copy of this dataset (labels shared)."""
-        return Dataset(self.to_dense(), self.labels, self.known_outliers)
-
     def as_sparse(self) -> "Dataset":
         """Return a CSR-backed copy of this dataset (labels shared)."""
         values = self.values if self.is_sparse else sp.csr_matrix(self.values)
@@ -90,20 +86,6 @@ class Dataset:
         idx = np.asarray(indices, dtype=np.int64)
         labels = self.labels[idx] if self.labels is not None else None
         return Dataset(self.values[idx], labels, None)
-
-    @staticmethod
-    def concat(parts: Sequence["Dataset"]) -> "Dataset":
-        """Stack datasets row-wise. Labels are kept iff all parts have them."""
-        if not parts:
-            raise ValueError("concat needs at least one dataset")
-        if any(p.is_sparse for p in parts):
-            values = sp.vstack([p.as_sparse().values for p in parts], format="csr")
-        else:
-            values = np.vstack([p.values for p in parts])
-        labels = None
-        if all(p.labels is not None for p in parts):
-            labels = np.concatenate([p.labels for p in parts])
-        return Dataset(values, labels, None)
 
 
 def validate(dataset: Dataset) -> list[str]:

@@ -1,16 +1,20 @@
 """Experiment protocols: method comparison, labeled-outlier curves,
 representation-dimension sweeps, and scalability measurements.
 
-Every protocol varies only the seed across repeats (repeat r runs with
-``rng_seed + r``), reports per-repeat rows under the fixed result schema,
-and times each reported detection cell as the median of three runs.
-Detection time covers scoring only; training, transform, and data loading
-are excluded.
+Every protocol runs ``pipeline.run_pipeline`` and takes its stage times
+from ``PipelineResult.stage_seconds``; no protocol runs a stage of its own.
+Repeat r runs with ``rng_seed + r``. The labeled-outlier curve and the
+dimension sweep compute the original-space stage once per repeat and share
+it across every l or M, since it depends only on the data and the seed.
+
+Result rows follow the fixed schema of ``evaluation.RESULT_HEADER``.
+``detect_seconds`` is the median of three scoring passes over the row's
+data; ``train_seconds`` is the run's offline phase (``offline_seconds``),
+which for a shared original-space stage counts that stage's one run.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import replace
 from typing import Sequence
 
@@ -18,20 +22,44 @@ import numpy as np
 
 from . import sp
 from .data import Dataset
-from .evaluation import auc, timed_median
+from .evaluation import timed_median
 from .ingest import synth_gaussian_with_outliers
-from .learner import train, transform
-from .params import HyperParams
-from .pipeline import evaluation_mask, run_pipeline, stage_seeds
-from .thresholding import candidate_sets
+from .params import HyperParams, SpConfig
+from .pipeline import PipelineResult, original_stage, run_pipeline, stage_seeds
 
 # Representation sizes swept by the dimension-sensitivity protocol.
 DEFAULT_M_GRID = (1, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100)
 
 
-def _masked(dataset: Dataset, scores: np.ndarray) -> float:
-    mask = evaluation_mask(dataset)
-    return auc(scores[mask], dataset.labels[mask])
+def _check_protocol(dataset: Dataset, repeats: int, protocol: str) -> None:
+    labels = dataset.labels
+    if labels is None or labels.all() or not labels.any():
+        raise ValueError(f"{protocol} requires ground-truth labels of both classes")
+    if repeats < 1:
+        raise ValueError(f"repeats >= 1 required, got {repeats}")
+
+
+def _row(method: str, data: Dataset, config: SpConfig, repeat: int, auc,
+         n_labeled: int = 0, train_seconds: float = 0.0) -> dict:
+    """One result row; ``detect_seconds`` times three scoring passes over ``data``."""
+    _, seconds = timed_median(lambda: sp.sp_score(data, config))
+    return {
+        "method": method,
+        "M": data.n_features,
+        "n_labeled": n_labeled,
+        "repeat": repeat,
+        "auc": auc,
+        "detect_seconds": seconds,
+        "train_seconds": train_seconds,
+    }
+
+
+def _repen_row(result: PipelineResult, params: HyperParams, repeat: int,
+               n_labeled: int = 0) -> dict:
+    """The learned-space row of one pipeline run."""
+    config = params.detector(stage_seeds(params.rng_seed)[2])
+    return _row("repen_sp", result.embedded, config, repeat, result.auc_embedded,
+                n_labeled, result.offline_seconds)
 
 
 def run_comparison(
@@ -45,41 +73,14 @@ def run_comparison(
     mean and standard deviation of AUC over repeats and the mean detection
     time.
     """
-    if dataset.labels is None:
-        raise ValueError("comparison requires ground-truth labels")
+    _check_protocol(dataset, repeats, "comparison")
     rows: list[dict] = []
     for rep in range(repeats):
         p = replace(params, rng_seed=params.rng_seed + rep)
-        seed_orig, _, seed_emb = stage_seeds(p.rng_seed)
         result = run_pipeline(dataset, p)
-
-        cfg_orig = p.detector(seed_orig)
-        _, t_orig = timed_median(lambda: sp.sp_score(dataset, cfg_orig))
-        rows.append(
-            {
-                "method": "original_sp",
-                "M": dataset.n_features,
-                "n_labeled": 0,
-                "repeat": rep,
-                "auc": _masked(dataset, result.original_scores.scores),
-                "detect_seconds": t_orig,
-                "train_seconds": 0.0,
-            }
-        )
-
-        cfg_emb = p.detector(seed_emb)
-        _, t_emb = timed_median(lambda: sp.sp_score(result.embedded, cfg_emb))
-        rows.append(
-            {
-                "method": "repen_sp",
-                "M": p.rep_dim,
-                "n_labeled": 0,
-                "repeat": rep,
-                "auc": result.auc_embedded,
-                "detect_seconds": t_emb,
-                "train_seconds": result.train_seconds,
-            }
-        )
+        config = p.detector(stage_seeds(p.rng_seed)[0])
+        rows.append(_row("original_sp", dataset, config, rep, result.auc_original))
+        rows.append(_repen_row(result, p, rep))
     summary = summarize_rows(rows)
     return rows, summary
 
@@ -116,8 +117,9 @@ def run_labeled_curve(
     the reported AUC. l = 0 reproduces the comparison protocol's learned-
     space rows exactly.
     """
-    if dataset.labels is None:
-        raise ValueError("labeled curve requires ground-truth labels")
+    _check_protocol(dataset, repeats, "labeled curve")
+    if not l_values:
+        raise ValueError("l_values must hold at least one count")
     pool = np.flatnonzero(dataset.labels)
     max_l = max(l_values)
     if max_l >= pool.size:
@@ -128,7 +130,7 @@ def run_labeled_curve(
     rows = []
     for rep in range(repeats):
         p = replace(params, rng_seed=params.rng_seed + rep)
-        _, _, seed_emb = stage_seeds(p.rng_seed)
+        original = original_stage(dataset, p)
         for l in l_values:
             if l == 0:
                 ds = dataset
@@ -137,20 +139,7 @@ def run_labeled_curve(
                     pool, size=l, replace=False
                 )
                 ds = Dataset(dataset.values, dataset.labels, known_outliers=draw)
-            result = run_pipeline(ds, p)
-            cfg = p.detector(seed_emb)
-            _, t_emb = timed_median(lambda: sp.sp_score(result.embedded, cfg))
-            rows.append(
-                {
-                    "method": "repen_sp",
-                    "M": p.rep_dim,
-                    "n_labeled": l,
-                    "repeat": rep,
-                    "auc": result.auc_embedded,
-                    "detect_seconds": t_emb,
-                    "train_seconds": result.train_seconds,
-                }
-            )
+            rows.append(_repen_row(run_pipeline(ds, p, original), p, rep, l))
     return rows
 
 
@@ -161,27 +150,14 @@ def run_dim_sensitivity(
     repeats: int = 10,
 ) -> list[dict]:
     """Sweep the representation dimension over ``m_values``."""
-    if dataset.labels is None:
-        raise ValueError("dimension sweep requires ground-truth labels")
+    _check_protocol(dataset, repeats, "dimension sweep")
     rows = []
     for rep in range(repeats):
+        p = replace(params, rng_seed=params.rng_seed + rep)
+        original = original_stage(dataset, p)
         for m in m_values:
-            p = replace(params, rep_dim=m, rng_seed=params.rng_seed + rep)
-            _, _, seed_emb = stage_seeds(p.rng_seed)
-            result = run_pipeline(dataset, p)
-            cfg = p.detector(seed_emb)
-            _, t_emb = timed_median(lambda: sp.sp_score(result.embedded, cfg))
-            rows.append(
-                {
-                    "method": "repen_sp",
-                    "M": m,
-                    "n_labeled": 0,
-                    "repeat": rep,
-                    "auc": result.auc_embedded,
-                    "detect_seconds": t_emb,
-                    "train_seconds": result.train_seconds,
-                }
-            )
+            pm = replace(p, rep_dim=m)
+            rows.append(_repen_row(run_pipeline(dataset, pm, original), pm, rep))
     return rows
 
 
@@ -198,32 +174,17 @@ def _scalability_cell(
     dataset = synth_gaussian_with_outliers(
         n - n_out, n_out, d_relevant, d - d_relevant, separation, seed=params.rng_seed
     )
-    seed_orig, seed_train, seed_emb = stage_seeds(params.rng_seed)
-
-    def one_run():
-        t0 = time.perf_counter()
-        scores = sp.sp_score(dataset, params.detector(seed_orig))
-        sets = candidate_sets(scores, params.alpha)
-        model, _ = train(dataset, sets, scores, replace(params, rng_seed=seed_train))
-        t1 = time.perf_counter()
-        embedded = transform(model, dataset)
-        t2 = time.perf_counter()
-        sp.sp_score(embedded, params.detector(seed_emb))
-        t3 = time.perf_counter()
-        return t1 - t0, t2 - t1, t3 - t2
-
-    trials = [one_run() for _ in range(3)]
-    train_s = float(np.median([t[0] for t in trials]))
-    transform_s = float(np.median([t[1] for t in trials]))
-    detect_s = float(np.median([t[2] for t in trials]))
+    runs = [run_pipeline(dataset, params).stage_seconds for _ in range(3)]
+    median = {stage: float(np.median([run[stage] for run in runs])) for stage in runs[0]}
+    train_s = median["score_original"] + median["threshold"] + median["train"]
     return {
         "axis": axis,
         "n_objects": n,
         "n_features": d,
         "train_seconds": train_s,
-        "transform_seconds": transform_s,
-        "detect_seconds": detect_s,
-        "total_seconds": train_s + transform_s + detect_s,
+        "transform_seconds": median["transform"],
+        "detect_seconds": median["score_embedded"],
+        "total_seconds": sum(median.values()),
     }
 
 
@@ -241,8 +202,15 @@ def run_scalability(
 
     ``sizes`` sweeps the object count at ``size_sweep_dim`` features;
     ``dims`` sweeps the feature count at ``dim_sweep_size`` objects. Each
-    cell is the per-stage median over three full runs.
+    cell is the per-stage median over three ``run_pipeline`` runs.
     """
+    if sizes and size_sweep_dim <= d_relevant:
+        raise ValueError(
+            f"size_sweep_dim > d_relevant required, got {size_sweep_dim} <= {d_relevant}"
+        )
+    for d in dims:
+        if d <= d_relevant:
+            raise ValueError(f"every dims entry > d_relevant required, got {d} <= {d_relevant}")
     rows = []
     for n in sizes:
         rows.append(

@@ -11,7 +11,7 @@ Supported file formats:
 from __future__ import annotations
 
 import csv
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp

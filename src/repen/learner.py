@@ -31,7 +31,6 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .data import CandidateSets, Dataset, OutlierScores, RepresentationModel, Triplet
 from .params import HyperParams
@@ -39,24 +38,6 @@ from .sampling import sample_batch_arrays
 
 _MODEL_MAGIC = b"RPNM"
 _MODEL_VERSION = 1
-
-
-def embed(model: RepresentationModel, x) -> np.ndarray:
-    """Map one input vector (dense or sparse row) into the representation space."""
-    if sp.issparse(x):
-        if x.shape[1] != model.n_features:
-            raise ValueError(
-                f"dimension mismatch: expected {model.n_features}, got {x.shape[1]}"
-            )
-        pre = np.asarray(x @ model.weights).ravel()
-    else:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (model.n_features,):
-            raise ValueError(
-                f"dimension mismatch: expected ({model.n_features},), got {x.shape}"
-            )
-        pre = x @ model.weights
-    return np.maximum(pre, 0.0)
 
 
 def embed_matrix(weights: np.ndarray, values) -> np.ndarray:

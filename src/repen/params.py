@@ -85,6 +85,8 @@ class HyperParams:
             )
         if self.optimizer_eps <= 0:
             raise ValueError(f"optimizer_eps > 0 required, got {self.optimizer_eps}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed >= 0 required, got {self.rng_seed}")
         if not 0.0 <= self.labeled_fraction <= 1.0:
             raise ValueError(
                 f"labeled_fraction in [0, 1] required, got {self.labeled_fraction}"

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -28,9 +28,22 @@ def stage_seeds(rng_seed: int) -> tuple[int, int, int]:
     return int(state[0]), int(state[1]), int(state[2])
 
 
+class OriginalStage(NamedTuple):
+    """Original-space scores, their candidate sets, and both stages' wall seconds."""
+
+    scores: OutlierScores
+    sets: CandidateSets
+    seconds: dict
+
+
 @dataclass
 class PipelineResult:
-    """Everything a pipeline run produces, plus stage wall times in seconds."""
+    """Everything a pipeline run produces.
+
+    ``stage_seconds`` holds the wall seconds of each stage, in run order:
+    ``score_original``, ``threshold``, ``train``, ``transform`` and
+    ``score_embedded``.
+    """
 
     original_scores: OutlierScores
     sets: CandidateSets
@@ -40,68 +53,82 @@ class PipelineResult:
     embedded_scores: OutlierScores
     auc_original: Optional[float]
     auc_embedded: Optional[float]
-    train_seconds: float
-    detect_seconds: float
+    stage_seconds: dict
+
+    @property
+    def offline_seconds(self) -> float:
+        """Seconds of every stage before embedded scoring (the offline phase)."""
+        return sum(self.stage_seconds.values()) - self.stage_seconds["score_embedded"]
 
 
-def evaluation_mask(dataset: Dataset) -> Optional[np.ndarray]:
-    """Rows that count toward detection quality (known outliers excluded)."""
+def _masked_auc(scores: OutlierScores, dataset: Dataset) -> Optional[float]:
+    """AUC over the labeled rows that are not known outliers, if both classes remain."""
     if dataset.labels is None:
         return None
     mask = np.ones(dataset.n_objects, dtype=bool)
     if dataset.known_outliers is not None:
         mask[dataset.known_outliers] = False
-    return mask
-
-
-def _masked_auc(scores: OutlierScores, dataset: Dataset) -> Optional[float]:
-    mask = evaluation_mask(dataset)
-    if mask is None:
-        return None
     labels = dataset.labels[mask]
     if labels.all() or not labels.any():
         return None
     return auc(scores.scores[mask], labels)
 
 
-def run_pipeline(dataset: Dataset, params: HyperParams) -> PipelineResult:
+def original_stage(dataset: Dataset, params: HyperParams) -> OriginalStage:
+    """Score ``dataset`` in its input space and threshold the scores.
+
+    The result depends only on the data values, the detector settings,
+    ``alpha`` and the run seed, so runs that differ in anything else (the
+    representation size, the known outliers) can share one.
+    """
+    seed_orig, _, _ = stage_seeds(params.rng_seed)
+    t0 = time.perf_counter()
+    scores = sp.sp_score(dataset, params.detector(seed_orig))
+    t1 = time.perf_counter()
+    sets = candidate_sets(scores, params.alpha)
+    t2 = time.perf_counter()
+    return OriginalStage(scores, sets, {"score_original": t1 - t0, "threshold": t2 - t1})
+
+
+def run_pipeline(
+    dataset: Dataset, params: HyperParams, original: Optional[OriginalStage] = None
+) -> PipelineResult:
     """Run the full pipeline on one dataset with one seed.
 
-    ``train_seconds`` covers the offline phase (original-space scoring,
-    thresholding, training, transform); ``detect_seconds`` covers only the
-    online scoring of the embedded data, which is what a deployed detector
-    repeats per scoring pass.
+    ``original`` is a precomputed ``original_stage(dataset, params)``; its
+    seconds are reported as this run's. ``stage_seconds`` times every stage;
+    ``offline_seconds`` sums all but ``score_embedded``, the online scoring
+    pass a deployed detector repeats.
     """
     params.validate()
     require_valid(dataset)
-    seed_orig, seed_train, seed_emb = stage_seeds(params.rng_seed)
+    if original is None:
+        original = original_stage(dataset, params)
+    _, seed_train, seed_emb = stage_seeds(params.rng_seed)
 
     t0 = time.perf_counter()
-    original_scores = sp.sp_score(dataset, params.detector(seed_orig))
-    sets = candidate_sets(original_scores, params.alpha)
     model, report = learner.train(
-        dataset, sets, original_scores, _with_seed(params, seed_train)
+        dataset, original.sets, original.scores, replace(params, rng_seed=seed_train)
     )
-    embedded = learner.transform(model, dataset)
-    train_seconds = time.perf_counter() - t0
-
     t1 = time.perf_counter()
+    embedded = learner.transform(model, dataset)
+    t2 = time.perf_counter()
     embedded_scores = sp.sp_score(embedded, params.detector(seed_emb))
-    detect_seconds = time.perf_counter() - t1
+    t3 = time.perf_counter()
 
     return PipelineResult(
-        original_scores=original_scores,
-        sets=sets,
+        original_scores=original.scores,
+        sets=original.sets,
         model=model,
         report=report,
         embedded=embedded,
         embedded_scores=embedded_scores,
-        auc_original=_masked_auc(original_scores, dataset),
+        auc_original=_masked_auc(original.scores, dataset),
         auc_embedded=_masked_auc(embedded_scores, embedded),
-        train_seconds=train_seconds,
-        detect_seconds=detect_seconds,
+        stage_seconds={
+            **original.seconds,
+            "train": t1 - t0,
+            "transform": t2 - t1,
+            "score_embedded": t3 - t2,
+        },
     )
-
-
-def _with_seed(params: HyperParams, seed: int) -> HyperParams:
-    return replace(params, rng_seed=seed)

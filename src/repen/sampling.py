@@ -15,11 +15,10 @@ generator argument, so batch construction is deterministic per stream.
 from __future__ import annotations
 
 import warnings
-from typing import Optional
 
 import numpy as np
 
-from .data import CandidateSets, OutlierScores, Triplet
+from .data import CandidateSets, OutlierScores
 
 
 def query_sampling_weights(scores: OutlierScores, inliers) -> np.ndarray:
@@ -107,22 +106,3 @@ def sample_batch_arrays(
         parts.append(rng.choice(labeled_arr, size=n_labeled, replace=True))
     negatives = np.concatenate(parts)
     return queries, positives, negatives
-
-
-def sample_batch(
-    sets: CandidateSets,
-    scores: OutlierScores,
-    n: int,
-    b: int,
-    rng: np.random.Generator,
-    labeled=None,
-    labeled_fraction: float = 0.5,
-) -> list[Triplet]:
-    """Draw one batch of ``b`` triplets (see ``sample_batch_arrays``)."""
-    queries, positives, negatives = sample_batch_arrays(
-        sets, scores, n, b, rng, labeled=labeled, labeled_fraction=labeled_fraction
-    )
-    return [
-        Triplet(tuple(int(q) for q in queries[s]), int(positives[s]), int(negatives[s]))
-        for s in range(b)
-    ]

@@ -118,6 +118,16 @@ class TestPipelineCommand:
         assert rc != 0
         assert "rep_dim >= 1" in capsys.readouterr().err
 
+    def test_negative_seed_names_it(self, tmp_path, capsys):
+        data = _write_synth(tmp_path, "csv")
+        out_dir = tmp_path / "o"
+        capsys.readouterr()
+        rc = main(["pipeline", "--input", str(data), "--output-dir", str(out_dir),
+                   "--rng-seed", "-1"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: rng_seed >= 0 required, got -1\n"
+        assert not (out_dir / "model.repen").exists()
+
     def test_unparsable_setting_names_it(self, capsys):
         rc = main(["pipeline", "--rep-dim", "abc"])
         assert rc == 1
@@ -253,6 +263,11 @@ def test_importing_the_cli_does_not_load_numpy():
     assert out.stdout.strip() == "False"
 
 
+def test_every_public_name_resolves():
+    for name in repen.__all__:
+        assert getattr(repen, name) is not None, name
+
+
 @pytest.mark.parametrize(
     "flags, env, message",
     [
@@ -356,3 +371,27 @@ class TestExperimentCommand:
         assert rc == 0
         rows = (out_dir / "labeled_curve_rows.csv").read_text().splitlines()
         assert len(rows) == 3
+
+    @pytest.mark.parametrize(
+        "kind, flags, message",
+        [
+            ("comparison", ["--repeats", "0"], "repeats >= 1 required, got 0"),
+            ("labeled_curve", ["--l-values", ""], "l_values must hold at least one count"),
+            ("scalability", ["--sizes", "100", "--dims", "", "--size-sweep-dim", "5"],
+             "size_sweep_dim > d_relevant required, got 5 <= 10"),
+            ("scalability", ["--sizes", "", "--dims", "40,5", "--dim-sweep-size", "60",
+                             "--n-epochs", "0"],
+             "every dims entry > d_relevant required, got 5 <= 10"),
+        ],
+    )
+    def test_bad_experiment_setting_names_it(self, tmp_path, capsys, kind, flags, message):
+        data = _write_synth(tmp_path, "csv")
+        out_dir = tmp_path / "exp"
+        capsys.readouterr()
+        rc = main([
+            "experiment", "--kind", kind, "--input", str(data), "--label-column", "label",
+            "--output-dir", str(out_dir), "--d-relevant", "10", *flags,
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(out_dir.glob("*.csv"))

@@ -71,7 +71,8 @@ class TestDatasetStorage:
         values = rng.standard_normal((20, 7))
         values[rng.random((20, 7)) < 0.6] = 0.0
         ds = Dataset(values, labels=rng.random(20) < 0.2)
-        back = ds.as_sparse().as_dense()
+        sparse = ds.as_sparse()
+        back = Dataset(sparse.to_dense(), sparse.labels)
         assert datasets_equal(ds, back)
         assert np.array_equal(back.values, values)
 
@@ -81,13 +82,6 @@ class TestDatasetStorage:
         sub = ds.take([2, 0])
         assert np.array_equal(sub.values, ds.values[[2, 0]])
         assert np.array_equal(sub.labels, [False, False])
-
-    def test_concat_stacks_rows(self):
-        a = Dataset(np.ones((2, 3)), labels=np.array([True, False]))
-        b = Dataset(np.zeros((1, 3)), labels=np.array([True]))
-        both = Dataset.concat([a, b])
-        assert both.n_objects == 3
-        assert np.array_equal(both.labels, [True, False, True])
 
 
 class TestOutlierScores:
@@ -167,6 +161,7 @@ class TestHyperParams:
             ("margin", 0.0),
             ("optimizer_decay", 1.0),
             ("labeled_fraction", 1.5),
+            ("rng_seed", -1),
         ],
     )
     def test_invalid_field_named_in_error(self, field, value):

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import repen.experiments
+import repen.pipeline
 from repen.data import Dataset, HyperParams
 from repen.evaluation import (
     RESULT_HEADER,
@@ -20,6 +22,7 @@ from repen.experiments import (
     summarize_rows,
 )
 from repen.ingest import synth_gaussian_with_outliers
+from repen.pipeline import run_pipeline
 
 from conftest import pairwise_auc_oracle
 
@@ -93,6 +96,53 @@ def _fast_params(**overrides):
     return HyperParams(**base)
 
 
+class TestPipelineStages:
+    def test_stage_seconds_names_every_stage_in_run_order(self):
+        result = run_pipeline(_small_dataset(), _fast_params())
+        seconds = result.stage_seconds
+        assert list(seconds) == [
+            "score_original", "threshold", "train", "transform", "score_embedded"
+        ]
+        assert all(s >= 0 for s in seconds.values())
+        assert result.offline_seconds == pytest.approx(
+            sum(seconds.values()) - seconds["score_embedded"]
+        )
+
+    def test_original_stage_runs_once_per_repeat(self, monkeypatch):
+        calls = []
+        real = repen.pipeline.candidate_sets
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(repen.pipeline, "candidate_sets", counting)
+        ds = _small_dataset()
+        run_labeled_curve(ds, _fast_params(), l_values=[0, 2, 4], repeats=2)
+        assert len(calls) == 2
+        calls.clear()
+        run_dim_sensitivity(ds, _fast_params(), m_values=(2, 4, 8), repeats=2)
+        assert len(calls) == 2
+
+    def test_shared_stage_rows_equal_standalone_runs(self, monkeypatch):
+        """Every curve and sweep cell reports what a fresh run_pipeline reports."""
+        cells = []
+
+        def recording(dataset, params, original=None):
+            cells.append((dataset, params))
+            return run_pipeline(dataset, params, original)
+
+        monkeypatch.setattr(repen.experiments, "run_pipeline", recording)
+        ds = _small_dataset()
+        rows = run_labeled_curve(ds, _fast_params(), l_values=[0, 3], repeats=2)
+        rows += run_dim_sensitivity(ds, _fast_params(), m_values=(2, 8), repeats=2)
+        assert len(cells) == len(rows) == 8
+        assert [c[0].known_outliers is not None for c in cells[:4]] == [False, True] * 2
+        for row, (cell, params) in zip(rows, cells):
+            assert row["auc"] == run_pipeline(cell, params).auc_embedded
+            assert row["M"] == params.rep_dim
+
+
 class TestComparisonProtocol:
     def test_rows_and_summary_shape(self):
         rows, summary = run_comparison(_small_dataset(), _fast_params(), repeats=2)
@@ -116,6 +166,13 @@ class TestComparisonProtocol:
         ds = Dataset(rng.standard_normal((30, 5)))
         with pytest.raises(ValueError, match="labels"):
             run_comparison(ds, _fast_params(), repeats=1)
+
+    @pytest.mark.parametrize("protocol", [run_comparison, run_dim_sensitivity])
+    def test_single_class_labels_rejected(self, protocol):
+        ds = _small_dataset()
+        inliers_only = Dataset(ds.values, np.zeros(ds.n_objects, dtype=bool))
+        with pytest.raises(ValueError, match="labels of both classes"):
+            protocol(inliers_only, _fast_params(), repeats=1)
 
     def test_summarize_rows(self):
         rows = [

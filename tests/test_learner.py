@@ -15,7 +15,6 @@ from repen.ingest import synth_gaussian_with_outliers
 from repen.learner import (
     OptimizerState,
     adadelta_step,
-    embed,
     load_model,
     loss_gradient,
     save_model,
@@ -72,29 +71,32 @@ def random_instance(rng, d_max=30, m_max=5):
 
 
 class TestEmbed:
+    """The ReLU(XW) map, applied to whole datasets through ``transform``."""
+
+    @staticmethod
+    def _embed(weights, values):
+        return transform(RepresentationModel(np.asarray(weights, dtype=float)),
+                         Dataset(values)).values
+
     def test_identity_clips_negatives(self):
-        model = RepresentationModel(np.eye(2))
-        np.testing.assert_array_equal(embed(model, [3.0, -4.0]), [3.0, 0.0])
+        np.testing.assert_array_equal(self._embed(np.eye(2), [[3.0, -4.0]]), [[3.0, 0.0]])
 
     def test_zero_weights_give_zero(self, rng):
-        model = RepresentationModel(np.zeros((5, 3)))
-        np.testing.assert_array_equal(embed(model, rng.standard_normal(5)), np.zeros(3))
+        out = self._embed(np.zeros((5, 3)), rng.standard_normal((4, 5)))
+        np.testing.assert_array_equal(out, np.zeros((4, 3)))
 
     def test_hand_dot_product(self):
-        model = RepresentationModel(np.array([[1.0], [1.0]]))
-        np.testing.assert_array_equal(embed(model, [2.0, 5.0]), [7.0])
+        np.testing.assert_array_equal(self._embed([[1.0], [1.0]], [[2.0, 5.0]]), [[7.0]])
 
     def test_sparse_row(self):
         import scipy.sparse as sp
 
-        model = RepresentationModel(np.array([[2.0], [0.5]]))
         row = sp.csr_matrix(np.array([[1.0, 4.0]]))
-        np.testing.assert_array_equal(embed(model, row), [4.0])
+        np.testing.assert_array_equal(self._embed([[2.0], [0.5]], row), [[4.0]])
 
     def test_dimension_mismatch(self):
-        model = RepresentationModel(np.eye(3))
-        with pytest.raises(ValueError, match="dimension"):
-            embed(model, [1.0, 2.0])
+        with pytest.raises(ValueError, match="model expects 3 features, dataset has 2"):
+            self._embed(np.eye(3), [[1.0, 2.0]])
 
 
 class TestTripletLoss:

@@ -8,7 +8,6 @@ from repen.data import CandidateSets, OutlierScores
 from repen.sampling import (
     negative_sampling_weights,
     query_sampling_weights,
-    sample_batch,
     sample_batch_arrays,
 )
 
@@ -78,18 +77,16 @@ def _simple_sets(n_in=6, n_out=3):
 class TestSampleBatch:
     def test_shapes_and_pools(self, rng):
         sets, scores = _simple_sets()
-        triplets = sample_batch(sets, scores, n=2, b=16, rng=rng)
-        assert len(triplets) == 16
-        for t in triplets:
-            assert len(t.query) == 2
-            assert all(q in sets.inlier_idx for q in t.query)
-            assert t.positive in sets.inlier_idx
-            assert t.negative in sets.outlier_idx
+        q, p, g = sample_batch_arrays(sets, scores, n=2, b=16, rng=rng)
+        assert q.shape == (16, 2) and p.shape == (16,) and g.shape == (16,)
+        assert np.isin(q, sets.inlier_idx).all()
+        assert np.isin(p, sets.inlier_idx).all()
+        assert np.isin(g, sets.outlier_idx).all()
 
     def test_single_member_queries(self, rng):
         sets, scores = _simple_sets()
-        triplets = sample_batch(sets, scores, n=1, b=8, rng=rng)
-        assert all(len(t.query) == 1 for t in triplets)
+        q, _, _ = sample_batch_arrays(sets, scores, n=1, b=8, rng=rng)
+        assert q.shape == (8, 1)
 
     def test_labeled_split_counts(self, rng):
         sets, scores = _simple_sets(n_in=8, n_out=4)
