@@ -24,10 +24,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
-from .params import HyperParams, SpConfig
+from .params import ExperimentParams, HyperParams, SpConfig
 
 _THREAD_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -53,14 +53,14 @@ def parse_config_file(path: str) -> dict:
 
 
 def _coerce(key: str, value, default):
-    """Parse a string setting to the type of its default (lists hold ints)."""
+    """Parse a string setting to the type of its default (tuples hold ints)."""
     if not isinstance(value, str):
         return value
     try:
         if isinstance(default, bool):
             return _BOOLEANS[value.lower()]
-        if isinstance(default, list):
-            return [int(tok) for tok in value.replace(",", " ").split()]
+        if isinstance(default, tuple):
+            return tuple(int(tok) for tok in value.replace(",", " ").split())
         return type(default)(value)
     except (KeyError, ValueError):
         raise ValueError(f"invalid value for {key}: {value!r}") from None
@@ -95,8 +95,9 @@ def _manifest_value(value) -> str:
     return str(value)
 
 
-def _hyperparams(settings: dict) -> HyperParams:
-    params = HyperParams(**{name: settings[name] for name in HyperParams.field_names()})
+def _validated(cls, settings: dict):
+    """Build the settings dataclass ``cls`` from resolved settings and validate it."""
+    params = cls(**{field.name: settings[field.name] for field in fields(cls)})
     params.validate()
     return params
 
@@ -150,7 +151,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     out_dir = Path(settings["output_dir"] or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset = _load_dataset(settings)
-    params = _hyperparams(settings)
+    params = _validated(HyperParams, settings)
 
     result = run_pipeline(dataset, params)
 
@@ -224,9 +225,10 @@ def cmd_score(args: argparse.Namespace) -> int:
         "label_column": args.label_column or "",
         "normalize": args.normalize,
     }
+    config = SpConfig(args.subsample_size, args.ensemble_size, args.seed)
+    config.validate()
     dataset = _load_dataset(settings)
     model = learner.load_model(args.model)
-    config = SpConfig(args.subsample_size, args.ensemble_size, args.seed)
     scores = sp.sp_score_embedded(dataset, model, config)
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -239,20 +241,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     return 0
 
 
-_EXPERIMENT_DEFAULTS = {
-    **_PIPELINE_DEFAULTS,
-    "kind": "",
-    "repeats": 10,
-    "l_values": [0, 1, 5, 10, 20, 40, 80],
-    "m_values": [],
-    "sizes": [1000, 2000, 4000],
-    "dims": [1250, 2500, 5000],
-    "size_sweep_dim": 10000,
-    "dim_sweep_size": 10000,
-    "outlier_rate": 0.02,
-    "d_relevant": 10,
-    "separation": 6.0,
-}
+_EXPERIMENT_DEFAULTS = {**_PIPELINE_DEFAULTS, "kind": "", **asdict(ExperimentParams())}
 
 _EXPERIMENT_KINDS = ("comparison", "labeled_curve", "dim_sensitivity", "scalability")
 
@@ -270,21 +259,22 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     kind = settings["kind"]
     if kind not in _EXPERIMENT_KINDS:
         raise ValueError(f"unknown experiment kind {kind!r}; choose from {_EXPERIMENT_KINDS}")
+    params = _validated(HyperParams, settings)
+    exp = _validated(ExperimentParams, settings)
     out_dir = Path(settings["output_dir"] or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    params = _hyperparams(settings)
     artifacts = []
 
     if kind == "scalability":
         rows = experiments.run_scalability(
             params,
-            sizes=settings["sizes"],
-            dims=settings["dims"],
-            size_sweep_dim=settings["size_sweep_dim"],
-            dim_sweep_size=settings["dim_sweep_size"],
-            outlier_rate=settings["outlier_rate"],
-            d_relevant=settings["d_relevant"],
-            separation=settings["separation"],
+            sizes=exp.sizes,
+            dims=exp.dims,
+            size_sweep_dim=exp.size_sweep_dim,
+            dim_sweep_size=exp.dim_sweep_size,
+            outlier_rate=exp.outlier_rate,
+            d_relevant=exp.d_relevant,
+            separation=exp.separation,
         )
         csv_path = out_dir / "scalability_rows.csv"
         write_rows_csv(csv_path, rows, SCALABILITY_HEADER)
@@ -296,9 +286,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     else:
         dataset = _load_dataset(settings)
         if kind == "comparison":
-            rows, summary = experiments.run_comparison(
-                dataset, params, repeats=settings["repeats"]
-            )
+            rows, summary = experiments.run_comparison(dataset, params, repeats=exp.repeats)
             write_rows_csv(out_dir / "comparison_summary.csv", summary,
                            ("method", "mean_auc", "std_auc", "mean_detect_seconds"))
             artifacts.append("comparison_summary.csv")
@@ -306,15 +294,13 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             plot = ("comparison.gp", 4, 5, "AUC per repeat", "repeat", "auc")
         elif kind == "labeled_curve":
             rows = experiments.run_labeled_curve(
-                dataset, params, settings["l_values"],
-                repeats=settings["repeats"],
+                dataset, params, exp.l_values, repeats=exp.repeats
             )
             csv_path = out_dir / "labeled_curve_rows.csv"
             plot = ("labeled_curve.gp", 3, 5, "AUC vs labeled outliers", "labeled outliers", "auc")
         else:
-            m_values = settings["m_values"] or list(experiments.DEFAULT_M_GRID)
             rows = experiments.run_dim_sensitivity(
-                dataset, params, m_values, repeats=settings["repeats"]
+                dataset, params, exp.m_values, repeats=exp.repeats
             )
             csv_path = out_dir / "dim_sensitivity_rows.csv"
             plot = ("dim_sensitivity.gp", 2, 5, "AUC vs representation dimension",
@@ -337,7 +323,7 @@ def _add_setting_flags(parser: argparse.ArgumentParser, defaults: dict) -> None:
         if isinstance(default, bool):
             parser.add_argument(flag, action="store_const", const=True, default=None)
         else:
-            parser.add_argument(flag, default=None, metavar=str(default))
+            parser.add_argument(flag, default=None, metavar=_manifest_value(default))
 
 
 def build_parser() -> argparse.ArgumentParser:

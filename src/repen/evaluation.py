@@ -54,11 +54,11 @@ def auc(scores, labels) -> float:
     return float((ranks[labels].sum() - n_out * (n_out + 1) / 2.0) / (n_out * n_in))
 
 
-def timed_median(fn: Callable[[], object], repeats: int = 3) -> tuple[object, float]:
-    """Run ``fn`` ``repeats`` times; return its first result and the median wall time."""
+def timed_median(fn: Callable[[], object]) -> tuple[object, float]:
+    """Run ``fn`` three times; return its first result and the median wall time."""
     result = None
     times = []
-    for i in range(repeats):
+    for i in range(3):
         t0 = time.perf_counter()
         out = fn()
         times.append(time.perf_counter() - t0)

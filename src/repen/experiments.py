@@ -3,7 +3,9 @@ representation-dimension sweeps, and scalability measurements.
 
 Every protocol runs ``pipeline.run_pipeline`` and takes its stage times
 from ``PipelineResult.stage_seconds``; no protocol runs a stage of its own.
-Repeat r runs with ``rng_seed + r``. The labeled-outlier curve and the
+Repeat r runs with ``rng_seed + r``. The protocols' keyword defaults come
+from ``params.ExperimentParams``, and its ``validate`` checks their
+arguments before any run starts. The labeled-outlier curve and the
 dimension sweep compute the original-space stage once per repeat and share
 it across every l or M, since it depends only on the data and the seed.
 
@@ -24,19 +26,14 @@ from . import sp
 from .data import Dataset
 from .evaluation import timed_median
 from .ingest import synth_gaussian_with_outliers
-from .params import HyperParams, SpConfig
+from .params import DEFAULT_M_GRID, ExperimentParams, HyperParams, SpConfig
 from .pipeline import PipelineResult, original_stage, run_pipeline, stage_seeds
 
-# Representation sizes swept by the dimension-sensitivity protocol.
-DEFAULT_M_GRID = (1, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100)
 
-
-def _check_protocol(dataset: Dataset, repeats: int, protocol: str) -> None:
+def _require_both_classes(dataset: Dataset, protocol: str) -> None:
     labels = dataset.labels
     if labels is None or labels.all() or not labels.any():
         raise ValueError(f"{protocol} requires ground-truth labels of both classes")
-    if repeats < 1:
-        raise ValueError(f"repeats >= 1 required, got {repeats}")
 
 
 def _row(method: str, data: Dataset, config: SpConfig, repeat: int, auc,
@@ -65,7 +62,7 @@ def _repen_row(result: PipelineResult, params: HyperParams, repeat: int,
 def run_comparison(
     dataset: Dataset,
     params: HyperParams,
-    repeats: int = 10,
+    repeats: int = ExperimentParams.repeats,
 ) -> tuple[list[dict], list[dict]]:
     """Compare detection in the original space against the learned space.
 
@@ -73,7 +70,8 @@ def run_comparison(
     mean and standard deviation of AUC over repeats and the mean detection
     time.
     """
-    _check_protocol(dataset, repeats, "comparison")
+    ExperimentParams(repeats=repeats).validate()
+    _require_both_classes(dataset, "comparison")
     rows: list[dict] = []
     for rep in range(repeats):
         p = replace(params, rng_seed=params.rng_seed + rep)
@@ -108,7 +106,7 @@ def run_labeled_curve(
     dataset: Dataset,
     params: HyperParams,
     l_values: Sequence[int],
-    repeats: int = 10,
+    repeats: int = ExperimentParams.repeats,
 ) -> list[dict]:
     """Detection quality as a function of the number of labeled outliers.
 
@@ -117,9 +115,8 @@ def run_labeled_curve(
     the reported AUC. l = 0 reproduces the comparison protocol's learned-
     space rows exactly.
     """
-    _check_protocol(dataset, repeats, "labeled curve")
-    if not l_values:
-        raise ValueError("l_values must hold at least one count")
+    ExperimentParams(repeats=repeats, l_values=l_values).validate()
+    _require_both_classes(dataset, "labeled curve")
     pool = np.flatnonzero(dataset.labels)
     max_l = max(l_values)
     if max_l >= pool.size:
@@ -146,33 +143,32 @@ def run_labeled_curve(
 def run_dim_sensitivity(
     dataset: Dataset,
     params: HyperParams,
-    m_values: Sequence[int] = DEFAULT_M_GRID,
-    repeats: int = 10,
+    m_values: Sequence[int] = ExperimentParams.m_values,
+    repeats: int = ExperimentParams.repeats,
 ) -> list[dict]:
-    """Sweep the representation dimension over ``m_values``."""
-    _check_protocol(dataset, repeats, "dimension sweep")
+    """Sweep the representation dimension over ``m_values``.
+
+    An empty ``m_values`` sweeps ``DEFAULT_M_GRID``, the paper's grid.
+    """
+    ExperimentParams(repeats=repeats, m_values=m_values).validate()
+    _require_both_classes(dataset, "dimension sweep")
     rows = []
     for rep in range(repeats):
         p = replace(params, rng_seed=params.rng_seed + rep)
         original = original_stage(dataset, p)
-        for m in m_values:
+        for m in m_values or DEFAULT_M_GRID:
             pm = replace(p, rep_dim=m)
             rows.append(_repen_row(run_pipeline(dataset, pm, original), pm, rep))
     return rows
 
 
 def _scalability_cell(
-    n: int,
-    d: int,
-    params: HyperParams,
-    axis: str,
-    outlier_rate: float,
-    d_relevant: int,
-    separation: float,
+    n: int, d: int, params: HyperParams, axis: str, settings: ExperimentParams
 ) -> dict:
-    n_out = max(1, int(round(outlier_rate * n)))
+    n_out = settings.n_outliers(n)
     dataset = synth_gaussian_with_outliers(
-        n - n_out, n_out, d_relevant, d - d_relevant, separation, seed=params.rng_seed
+        n - n_out, n_out, settings.d_relevant, d - settings.d_relevant,
+        settings.separation, seed=params.rng_seed,
     )
     runs = [run_pipeline(dataset, params).stage_seconds for _ in range(3)]
     median = {stage: float(np.median([run[stage] for run in runs])) for stage in runs[0]}
@@ -190,13 +186,13 @@ def _scalability_cell(
 
 def run_scalability(
     params: HyperParams,
-    sizes: Sequence[int] = (),
-    dims: Sequence[int] = (),
-    size_sweep_dim: int = 10000,
-    dim_sweep_size: int = 10000,
-    outlier_rate: float = 0.02,
-    d_relevant: int = 10,
-    separation: float = 6.0,
+    sizes: Sequence[int] = ExperimentParams.sizes,
+    dims: Sequence[int] = ExperimentParams.dims,
+    size_sweep_dim: int = ExperimentParams.size_sweep_dim,
+    dim_sweep_size: int = ExperimentParams.dim_sweep_size,
+    outlier_rate: float = ExperimentParams.outlier_rate,
+    d_relevant: int = ExperimentParams.d_relevant,
+    separation: float = ExperimentParams.separation,
 ) -> list[dict]:
     """Total pipeline wall time on synthetic data along the N and D axes.
 
@@ -204,26 +200,14 @@ def run_scalability(
     ``dims`` sweeps the feature count at ``dim_sweep_size`` objects. Each
     cell is the per-stage median over three ``run_pipeline`` runs.
     """
-    if sizes and size_sweep_dim <= d_relevant:
-        raise ValueError(
-            f"size_sweep_dim > d_relevant required, got {size_sweep_dim} <= {d_relevant}"
-        )
-    for d in dims:
-        if d <= d_relevant:
-            raise ValueError(f"every dims entry > d_relevant required, got {d} <= {d_relevant}")
-    rows = []
-    for n in sizes:
-        rows.append(
-            _scalability_cell(
-                n, size_sweep_dim, params, "size",
-                outlier_rate, d_relevant, separation,
-            )
-        )
-    for d in dims:
-        rows.append(
-            _scalability_cell(
-                dim_sweep_size, d, params, "dimension",
-                outlier_rate, d_relevant, separation,
-            )
-        )
+    settings = ExperimentParams(
+        sizes=sizes, dims=dims, size_sweep_dim=size_sweep_dim,
+        dim_sweep_size=dim_sweep_size, outlier_rate=outlier_rate,
+        d_relevant=d_relevant, separation=separation,
+    )
+    settings.validate()
+    rows = [_scalability_cell(n, size_sweep_dim, params, "size", settings) for n in sizes]
+    rows += [
+        _scalability_cell(dim_sweep_size, d, params, "dimension", settings) for d in dims
+    ]
     return rows

@@ -3,8 +3,8 @@
 Supported file formats:
 
 * svmlight/libsvm text: ``<label> <index>:<value> ...`` with 1-based,
-  ascending feature indices (a ``zero_based`` switch exists for files that
-  start at index 0).
+  ascending feature indices (the reader has a ``zero_based`` switch for
+  files that start at index 0); label 1 marks an outlier.
 * numeric CSV with an optional header row and an optional label column.
 """
 
@@ -27,7 +27,6 @@ def _fmt(value: float) -> str:
 def load_libsvm(
     path,
     n_features_hint: Optional[int] = None,
-    outlier_label: float = 1.0,
     zero_based: bool = False,
 ) -> Dataset:
     """Load a sparse dataset from a libsvm-format text file.
@@ -36,12 +35,12 @@ def load_libsvm(
     ``zero_based`` is set. Out-of-order indices within a line are accepted
     and re-sorted; duplicate indices are an error. The feature count is
     ``max observed index + 1`` or ``n_features_hint``, whichever is larger.
+    Label 1 marks an outlier; any other label an inlier.
 
     Args:
         path: file to read.
         n_features_hint: lower bound on the feature count; an index at or
             beyond the hint is an error.
-        outlier_label: label value mapped to the outlier flag.
         zero_based: treat on-disk indices as already 0-based.
 
     Raises:
@@ -108,19 +107,18 @@ def load_libsvm(
         ),
         shape=(len(labels), d),
     )
-    label_arr = np.asarray(labels) == outlier_label
+    label_arr = np.asarray(labels) == 1.0
     return Dataset(matrix, labels=label_arr)
 
 
-def write_libsvm(dataset: Dataset, path, zero_based: bool = False) -> None:
-    """Write a dataset in libsvm format (1-based indices by default).
+def write_libsvm(dataset: Dataset, path) -> None:
+    """Write a dataset in libsvm format with 1-based indices.
 
     Outliers get label ``1``, inliers ``-1``; datasets without labels are
     written with label ``0`` (which loads back as all-inlier labels, so only
     labeled datasets round-trip exactly).
     """
     matrix = dataset.values if dataset.is_sparse else sp.csr_matrix(dataset.values)
-    offset = 0 if zero_based else 1
     with open(path, "w", encoding="utf-8") as handle:
         for i in range(dataset.n_objects):
             lo, hi = matrix.indptr[i], matrix.indptr[i + 1]
@@ -129,7 +127,7 @@ def write_libsvm(dataset: Dataset, path, zero_based: bool = False) -> None:
             else:
                 label = "1" if dataset.labels[i] else "-1"
             pairs = " ".join(
-                f"{int(j) + offset}:{_fmt(v)}"
+                f"{int(j) + 1}:{_fmt(v)}"
                 for j, v in zip(matrix.indices[lo:hi], matrix.data[lo:hi])
             )
             handle.write(f"{label} {pairs}".rstrip() + "\n")
@@ -192,12 +190,12 @@ def load_csv(path, label_column: Optional[str] = None) -> Dataset:
     return Dataset(values, labels=labels)
 
 
-def write_csv(dataset: Dataset, path, label_column: str = "label") -> None:
-    """Write a dataset as CSV with a header; labels become a trailing column."""
+def write_csv(dataset: Dataset, path) -> None:
+    """Write a dataset as CSV with a header; labels become a trailing ``label`` column."""
     values = dataset.to_dense()
     names = [f"f{j}" for j in range(dataset.n_features)]
     if dataset.labels is not None:
-        names.append(label_column)
+        names.append("label")
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(names) + "\n")
         for i in range(dataset.n_objects):
@@ -234,6 +232,8 @@ def synth_gaussian_with_outliers(
         raise ValueError(f"d_noise >= 0 required, got {d_noise}")
     if separation <= 0:
         raise ValueError(f"separation > 0 required, got {separation}")
+    if seed < 0:
+        raise ValueError(f"seed >= 0 required, got {seed}")
     rng = np.random.default_rng(seed)
     direction = rng.standard_normal(d_relevant)
     direction /= np.linalg.norm(direction)
@@ -261,6 +261,8 @@ def downsample_to_rate(dataset: Dataset, rate: float, seed: int) -> Dataset:
         raise ValueError("downsampling requires labels")
     if not 0.0 < rate < 1.0:
         raise ValueError(f"rate in (0, 1) required, got {rate}")
+    if seed < 0:
+        raise ValueError(f"seed >= 0 required, got {seed}")
     outliers = np.flatnonzero(dataset.labels)
     inliers = np.flatnonzero(~dataset.labels)
     keep = int(np.floor(rate * inliers.size / (1.0 - rate)))

@@ -1,15 +1,16 @@
 """Every tunable setting, defined once.
 
-``SpConfig`` holds the random-distance detector's settings and
-``HyperParams`` the pipeline's; the CLI derives its flags, config keys,
-types and defaults from them. This module uses only the standard library,
-so the CLI can build its parser before numpy loads and still set the BLAS
-thread count in time.
+``SpConfig`` holds the random-distance detector's settings,
+``HyperParams`` the pipeline's and ``ExperimentParams`` the experiment
+protocols'; the CLI derives its flags, config keys, types and defaults
+from them. This module uses only the standard library, so the CLI can
+build its parser before numpy loads and still set the BLAS thread count
+in time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 
 @dataclass
@@ -25,6 +26,8 @@ class SpConfig:
             raise ValueError(f"subsample_size >= 1 required, got {self.subsample_size}")
         if self.ensemble_size < 1:
             raise ValueError(f"ensemble_size >= 1 required, got {self.ensemble_size}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed >= 0 required, got {self.rng_seed}")
 
 
 # n_epochs is allowed to be 0 (a no-op training run); the other counts are >= 1.
@@ -92,10 +95,80 @@ class HyperParams:
                 f"labeled_fraction in [0, 1] required, got {self.labeled_fraction}"
             )
 
-    @classmethod
-    def field_names(cls) -> tuple[str, ...]:
-        return tuple(f.name for f in fields(cls))
-
     def detector(self, rng_seed: int) -> SpConfig:
         """The detector settings of these hyperparameters, seeded with ``rng_seed``."""
         return SpConfig(self.subsample_size, self.ensemble_size, rng_seed)
+
+
+# Representation sizes the dimension sweep uses when ``m_values`` is empty.
+DEFAULT_M_GRID = (1, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100)
+
+
+@dataclass
+class ExperimentParams:
+    """Experiment-protocol settings with their defaults.
+
+    The comparison, the labeled-outlier curve and the dimension sweep run
+    ``repeats`` times, repeat r with seed ``rng_seed + r``. The curve labels
+    each count in ``l_values``; the sweep learns each size in ``m_values``
+    (empty: ``DEFAULT_M_GRID``). The scalability protocol sweeps ``sizes``
+    objects at ``size_sweep_dim`` features and ``dims`` features at
+    ``dim_sweep_size`` objects, on synthetic data with ``outlier_rate``
+    outliers, ``d_relevant`` informative features and outlier shift
+    ``separation``.
+    """
+
+    repeats: int = 10
+    l_values: tuple[int, ...] = (0, 1, 5, 10, 20, 40, 80)
+    m_values: tuple[int, ...] = ()
+    sizes: tuple[int, ...] = (1000, 2000, 4000)
+    dims: tuple[int, ...] = (1250, 2500, 5000)
+    size_sweep_dim: int = 10000
+    dim_sweep_size: int = 10000
+    outlier_rate: float = 0.02
+    d_relevant: int = 10
+    separation: float = 6.0
+
+    def validate(self) -> None:
+        """Raise ValueError naming the first invalid setting."""
+        if self.repeats < 1:
+            raise ValueError(f"repeats >= 1 required, got {self.repeats}")
+        if not self.l_values:
+            raise ValueError("l_values must hold at least one count")
+        for l in self.l_values:
+            if l < 0:
+                raise ValueError(f"every l_values entry >= 0 required, got {l}")
+        for m in self.m_values:
+            if m < 1:
+                raise ValueError(f"every m_values entry >= 1 required, got {m}")
+        if not 0.0 <= self.outlier_rate < 1.0:
+            raise ValueError(f"outlier_rate in [0, 1) required, got {self.outlier_rate}")
+        if self.d_relevant < 1:
+            raise ValueError(f"d_relevant >= 1 required, got {self.d_relevant}")
+        if self.separation <= 0:
+            raise ValueError(f"separation > 0 required, got {self.separation}")
+        for n in self.sizes:
+            if n <= self.n_outliers(n):
+                raise ValueError(
+                    f"every sizes entry > its outlier count required, "
+                    f"got {n} <= {self.n_outliers(n)}"
+                )
+        if self.dims and self.dim_sweep_size <= self.n_outliers(self.dim_sweep_size):
+            raise ValueError(
+                f"dim_sweep_size > its outlier count required, got "
+                f"{self.dim_sweep_size} <= {self.n_outliers(self.dim_sweep_size)}"
+            )
+        if self.sizes and self.size_sweep_dim <= self.d_relevant:
+            raise ValueError(
+                f"size_sweep_dim > d_relevant required, "
+                f"got {self.size_sweep_dim} <= {self.d_relevant}"
+            )
+        for d in self.dims:
+            if d <= self.d_relevant:
+                raise ValueError(
+                    f"every dims entry > d_relevant required, got {d} <= {self.d_relevant}"
+                )
+
+    def n_outliers(self, n_objects: int) -> int:
+        """Outliers in a synthetic scalability dataset of ``n_objects`` rows (at least 1)."""
+        return max(1, int(round(self.outlier_rate * n_objects)))

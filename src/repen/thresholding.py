@@ -14,6 +14,10 @@ import numpy as np
 
 from .data import CandidateSets, OutlierScores
 
+# Share of the objects that become outlier candidates when the Cantelli
+# threshold selects none.
+FALLBACK_FRACTION = 0.05
+
 
 def cantelli_bound(alpha: float) -> float:
     """Fraction ceiling 1 / (1 + alpha^2) on objects scoring >= mu + alpha*delta."""
@@ -38,13 +42,11 @@ def cantelli_partition(scores: OutlierScores, alpha: float) -> CandidateSets:
     return CandidateSets(np.flatnonzero(mask), np.flatnonzero(~mask))
 
 
-def candidate_sets(
-    scores: OutlierScores, alpha: float, fallback_fraction: float = 0.05
-) -> CandidateSets:
+def candidate_sets(scores: OutlierScores, alpha: float) -> CandidateSets:
     """Cantelli partition with a top-k fallback guaranteeing a non-empty O.
 
     When the threshold selects nothing (constant scores, or an alpha beyond
-    the score range), the top ``max(1, ceil(fallback_fraction * N))``
+    the score range), the top ``max(1, ceil(FALLBACK_FRACTION * N))``
     scorers become the outlier candidates so that downstream sampling always
     has a negative pool. Ties at the boundary break by ascending index.
     """
@@ -52,7 +54,7 @@ def candidate_sets(
     if sets.outlier_idx.size:
         return sets
     n = len(scores)
-    k = max(1, int(np.ceil(fallback_fraction * n)))
+    k = max(1, int(np.ceil(FALLBACK_FRACTION * n)))
     k = min(k, n - 1)
     order = np.argsort(-scores.scores, kind="stable")
     return CandidateSets(order[:k], order[k:])

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, config handling, artifacts."""
 
 import argparse
+import csv
 import os
 import re
 import subprocess
@@ -13,14 +14,17 @@ import pytest
 
 import repen
 from repen.cli import (
+    _EXPERIMENT_DEFAULTS,
     _PIPELINE_DEFAULTS,
     _THREAD_ENV_VARS,
     main,
     parse_config_file,
     resolve_settings,
 )
+from repen.data import RepresentationModel
 from repen.ingest import load_csv, load_libsvm
-from repen.params import HyperParams
+from repen.learner import save_model
+from repen.params import ExperimentParams, HyperParams
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -288,14 +292,48 @@ def test_bad_thread_setting_is_a_clean_error(tmp_path, capsys, thread_env, flags
     assert not out.exists()
 
 
-def test_readme_config_example_lists_every_pipeline_key(tmp_path):
+@pytest.mark.parametrize(
+    "heading, keys, defaults, params",
+    [
+        ("Config keys", set(_PIPELINE_DEFAULTS), _PIPELINE_DEFAULTS, HyperParams()),
+        ("Experiment keys", set(_EXPERIMENT_DEFAULTS) - set(_PIPELINE_DEFAULTS),
+         _EXPERIMENT_DEFAULTS, ExperimentParams()),
+    ],
+    ids=["pipeline", "experiment"],
+)
+def test_readme_config_examples_list_every_key(tmp_path, heading, keys, defaults, params):
     readme = README.read_text(encoding="utf-8")
-    block = re.search(r"Config keys .*?```\n(.*?)```", readme, re.DOTALL)
+    block = re.search(heading + r" .*?```\n(.*?)```", readme, re.DOTALL)
     cfg = tmp_path / "readme.cfg"
     cfg.write_text(block.group(1), encoding="utf-8")
-    assert set(parse_config_file(cfg)) == set(_PIPELINE_DEFAULTS)
-    settings = resolve_settings(argparse.Namespace(config=str(cfg)), _PIPELINE_DEFAULTS)
-    assert {key: settings[key] for key in HyperParams.field_names()} == asdict(HyperParams())
+    assert set(parse_config_file(cfg)) == keys
+    settings = resolve_settings(argparse.Namespace(config=str(cfg)), defaults)
+    assert {key: settings[key] for key in asdict(params)} == asdict(params)
+
+
+@pytest.mark.parametrize(
+    "command, flags, message",
+    [
+        ("score", ["--model", "{model}", "--input", "{data}", "--label-column", "label"],
+         "rng_seed >= 0 required, got -1"),
+        ("downsample", ["--input", "{data}", "--label-column", "label"],
+         "seed >= 0 required, got -1"),
+        ("synth", ["--n-inliers", "20", "--n-outliers", "2", "--d-relevant", "2",
+                   "--d-noise", "3", "--separation", "6.0"],
+         "seed >= 0 required, got -1"),
+    ],
+)
+def test_negative_seed_is_a_clean_error(tmp_path, capsys, command, flags, message):
+    data = _write_synth(tmp_path, "csv")
+    model = tmp_path / "model.repen"
+    save_model(RepresentationModel(np.ones((50, 2))), model)
+    out = tmp_path / "out.csv"
+    capsys.readouterr()
+    rc = main([command, *(f.format(data=data, model=model) for f in flags),
+               "--seed", "-1", "--output", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 class TestDownsampleCommand:
@@ -382,6 +420,12 @@ class TestExperimentCommand:
             ("scalability", ["--sizes", "", "--dims", "40,5", "--dim-sweep-size", "60",
                              "--n-epochs", "0"],
              "every dims entry > d_relevant required, got 5 <= 10"),
+            ("labeled_curve", ["--l-values=-1,2"], "every l_values entry >= 0 required, got -1"),
+            ("scalability", ["--sizes", "1", "--dims", "", "--size-sweep-dim", "40"],
+             "every sizes entry > its outlier count required, got 1 <= 1"),
+            ("scalability", ["--sizes", "60", "--outlier-rate", "1.5"],
+             "outlier_rate in [0, 1) required, got 1.5"),
+            ("dim_sensitivity", ["--m-values", "0,4"], "every m_values entry >= 1 required, got 0"),
         ],
     )
     def test_bad_experiment_setting_names_it(self, tmp_path, capsys, kind, flags, message):
@@ -395,3 +439,32 @@ class TestExperimentCommand:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not list(out_dir.glob("*.csv"))
+
+    def test_manifest_reproduces_the_run(self, tmp_path, thread_env):
+        data = _write_synth(tmp_path, "csv", n_inliers=120, n_outliers=12)
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main([
+            "--deterministic", "experiment", "--kind", "labeled_curve", "--input", str(data),
+            "--label-column", "label", "--output-dir", str(first), "--repeats", "2",
+            "--l-values", "0,3", "--rep-dim", "4", "--n-epochs", "1",
+            "--samples-per-epoch", "128", "--batch-size", "64",
+        ]) == 0
+        assert main([
+            "--deterministic", "experiment", "--config", str(first / "manifest.cfg"),
+            "--output-dir", str(second),
+        ]) == 0
+
+        def untimed_columns(run):
+            with open(run / "labeled_curve_rows.csv", newline="") as handle:
+                table = list(csv.DictReader(handle))
+            return [{k: v for k, v in row.items() if not k.endswith("_seconds")}
+                    for row in table]
+
+        def settings(run):
+            lines = (run / "manifest.cfg").read_text().splitlines()
+            lines.remove(f"output_dir = {run}")
+            return lines
+
+        assert len(untimed_columns(first)) == 4
+        assert untimed_columns(first) == untimed_columns(second)
+        assert settings(first) == settings(second)

@@ -14,6 +14,8 @@ from repen.data import (
     validate,
 )
 
+from repen.params import ExperimentParams
+
 from conftest import datasets_equal
 
 
@@ -171,3 +173,32 @@ class TestHyperParams:
 
     def test_zero_epochs_allowed(self):
         HyperParams(n_epochs=0).validate()
+
+
+class TestExperimentParams:
+    def test_defaults_are_valid(self):
+        ExperimentParams().validate()
+
+    def test_unused_sweep_settings_unchecked(self):
+        ExperimentParams(sizes=(), dims=(), size_sweep_dim=1, dim_sweep_size=0).validate()
+
+    @pytest.mark.parametrize(
+        "setting,value",
+        [
+            ("repeats", 0),
+            ("l_values", ()),
+            ("l_values", (3, -1)),
+            ("m_values", (0,)),
+            ("outlier_rate", -0.1),
+            ("outlier_rate", 1.0),
+            ("d_relevant", 0),
+            ("separation", 0.0),
+            ("sizes", (1000, 1)),
+            ("dim_sweep_size", 1),
+            ("size_sweep_dim", 10),
+            ("dims", (11, 10)),
+        ],
+    )
+    def test_invalid_setting_named_in_error(self, setting, value):
+        with pytest.raises(ValueError, match=setting):
+            ExperimentParams(**{setting: value}).validate()

@@ -143,6 +143,27 @@ class TestPipelineStages:
             assert row["M"] == params.rep_dim
 
 
+@pytest.mark.parametrize(
+    "run, setting",
+    [
+        (lambda ds, p: run_comparison(ds, p, repeats=0), "repeats"),
+        (lambda ds, p: run_labeled_curve(ds, p, l_values=[2, -1], repeats=1), "l_values"),
+        (lambda ds, p: run_dim_sensitivity(ds, p, m_values=(4, 0), repeats=1), "m_values"),
+        (lambda ds, p: run_scalability(p, sizes=(), dims=(40,), dim_sweep_size=1,
+                                       d_relevant=5), "dim_sweep_size"),
+    ],
+    ids=["comparison", "labeled_curve", "dim_sensitivity", "scalability"],
+)
+def test_protocols_reject_bad_settings_before_any_run(monkeypatch, run, setting):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a stage ran before the settings were checked")
+
+    monkeypatch.setattr(repen.experiments, "run_pipeline", no_run)
+    monkeypatch.setattr(repen.experiments, "original_stage", no_run)
+    with pytest.raises(ValueError, match=setting):
+        run(_small_dataset(), _fast_params())
+
+
 class TestComparisonProtocol:
     def test_rows_and_summary_shape(self):
         rows, summary = run_comparison(_small_dataset(), _fast_params(), repeats=2)
