@@ -148,10 +148,10 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     from .pipeline import run_pipeline
 
     settings = resolve_settings(args, _PIPELINE_DEFAULTS)
+    params = _validated(HyperParams, settings)
     out_dir = Path(settings["output_dir"] or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset = _load_dataset(settings)
-    params = _validated(HyperParams, settings)
 
     result = run_pipeline(dataset, params)
 
@@ -203,6 +203,7 @@ def cmd_downsample(args: argparse.Namespace) -> int:
         "label_column": args.label_column or "",
         "normalize": False,
     }
+    ingest.check_downsample_settings(args.rate, args.seed)
     dataset = _load_dataset(settings)
     result = ingest.downsample_to_rate(dataset, args.rate, args.seed)
     out = Path(args.output)

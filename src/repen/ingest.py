@@ -250,6 +250,14 @@ def synth_gaussian_with_outliers(
     return Dataset(values, labels=labels)
 
 
+def check_downsample_settings(rate: float, seed: int) -> None:
+    """Raise ValueError unless ``rate`` is in (0, 1) and ``seed`` >= 0."""
+    if not 0.0 < rate < 1.0:
+        raise ValueError(f"rate in (0, 1) required, got {rate}")
+    if seed < 0:
+        raise ValueError(f"seed >= 0 required, got {seed}")
+
+
 def downsample_to_rate(dataset: Dataset, rate: float, seed: int) -> Dataset:
     """Subsample the outlier class so outliers make up ``rate`` of the data.
 
@@ -257,12 +265,9 @@ def downsample_to_rate(dataset: Dataset, rate: float, seed: int) -> Dataset:
     hit the target rate (rounded down). Row order of kept objects is
     preserved.
     """
+    check_downsample_settings(rate, seed)
     if dataset.labels is None:
         raise ValueError("downsampling requires labels")
-    if not 0.0 < rate < 1.0:
-        raise ValueError(f"rate in (0, 1) required, got {rate}")
-    if seed < 0:
-        raise ValueError(f"seed >= 0 required, got {seed}")
     outliers = np.flatnonzero(dataset.labels)
     inliers = np.flatnonzero(~dataset.labels)
     keep = int(np.floor(rate * inliers.size / (1.0 - rate)))

@@ -17,7 +17,13 @@ in the min; a side with every member skipped makes the whole triplet
 contribute zero.
 
 Batches average per-triplet gradients over all b triplets (zero-loss
-triplets included) before a single ADADELTA step.
+triplets included) before a single ADADELTA step. On CSR input a step
+reads and writes only the weight and accumulator rows of the columns the
+batch's rows touch: an untouched row has a zero gradient, so its step is
+zero and its accumulators only decay by ``rho`` per step, and that decay
+is applied as ``rho ** k`` when the row is next touched (lazy updates in
+the manner of Carpenter 2008). Dense input touches every column, so its
+arithmetic is the plain full-matrix update.
 
 Model persistence format (stable): little-endian binary, magic ``RPNM``,
 uint32 version (currently 1), uint64 D, uint64 M, then D*M float64 weights
@@ -31,6 +37,7 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .data import CandidateSets, Dataset, OutlierScores, RepresentationModel, Triplet
 from .params import HyperParams
@@ -72,10 +79,15 @@ def _batch_loss_grad(
     margin: float,
     want_grad: bool = True,
 ):
-    """Losses (b,) and the batch-mean weight gradient for index-coded triplets.
+    """Losses (b,), touched columns and their batch-mean weight gradient.
 
     ``queries`` has shape (b, n); positives/negatives have shape (b,).
-    The gradient is None when ``want_grad`` is false.
+    Returns ``(losses, cols, grad)``: ``grad`` holds the gradient rows of
+    the weight rows ``cols``, and every other row's gradient is zero. For
+    CSR input ``cols`` is the sorted distinct column indices of the
+    batch's rows and ``grad`` has shape (len(cols), M); for dense input
+    ``cols`` is ``slice(None)`` and ``grad`` is the full (D, M) gradient.
+    ``cols`` and ``grad`` are None when ``want_grad`` is false.
     """
     b, n = queries.shape
     rows = np.unique(np.concatenate([queries.ravel(), positives, negatives]))
@@ -110,7 +122,7 @@ def _batch_loss_grad(
     losses = np.where(valid, np.maximum(0.0, margin + d_pos - d_neg), 0.0)
 
     if not want_grad:
-        return losses, None
+        return losses, None, None
 
     active = losses > 0.0
     qp = loc_q[arange, sel_pos]
@@ -124,9 +136,14 @@ def _batch_loss_grad(
     np.add.at(coeff, loc_n, -v * active_mask[loc_n])
     np.add.at(coeff, qn, v * active_mask[qn])
 
+    if sp.issparse(block):
+        cols, local = np.unique(block.indices, return_inverse=True)
+        block = sp.csr_matrix((block.data, local, block.indptr), shape=(rows.size, cols.size))
+    else:
+        cols = slice(None)
     grad = block.T @ coeff
     grad = np.asarray(grad) / b
-    return losses, grad
+    return losses, cols, grad
 
 
 def _triplet_arrays(triplet: Triplet):
@@ -145,7 +162,7 @@ def triplet_loss(model: RepresentationModel, data, triplet: Triplet, margin: flo
     if margin <= 0:
         raise ValueError(f"margin > 0 required, got {margin}")
     q, p, g = _triplet_arrays(triplet)
-    losses, _ = _batch_loss_grad(
+    losses, _, _ = _batch_loss_grad(
         _values_of(data), model.weights, q, p, g, margin, want_grad=False
     )
     return float(losses[0])
@@ -158,8 +175,10 @@ def loss_gradient(
     if margin <= 0:
         raise ValueError(f"margin > 0 required, got {margin}")
     q, p, g = _triplet_arrays(triplet)
-    _, grad = _batch_loss_grad(_values_of(data), model.weights, q, p, g, margin)
-    return grad
+    _, cols, grad = _batch_loss_grad(_values_of(data), model.weights, q, p, g, margin)
+    full = np.zeros_like(model.weights)
+    full[cols] = grad
+    return full
 
 
 @dataclass
@@ -184,6 +203,10 @@ def adadelta_step(
     accum_g <- rho * accum_g + (1 - rho) * g^2
     step    <- -sqrt(accum_u + eps) / sqrt(accum_g + eps) * g
     accum_u <- rho * accum_u + (1 - rho) * step^2
+
+    The update is elementwise, so it applies as well to any block of rows
+    (with the matching rows of the state); ``train`` passes it only the
+    rows a batch touches.
     """
     if gradient.shape != weights.shape or state.accum_grad_sq.shape != weights.shape:
         raise ValueError("weights, gradient, and optimizer state shapes must agree")
@@ -229,6 +252,17 @@ def train(
     and the held-out evaluation batch, so runs are reproducible from
     ``params.rng_seed`` alone and independent of evaluation order.
 
+    Each step gathers the weight and accumulator rows of the columns the
+    batch touches, first decays the accumulators by ``rho`` for each step
+    the row sat out, and writes the updated rows back. This is the full
+    (D, M) update, not an approximation: a row outside the batch's columns
+    has a zero gradient, so the full update leaves its weights alone and
+    only decays its accumulators. The powers ``rho ** k`` round differently
+    from k successive products, which moves sparse weights by about 1e-16
+    relative; dense input touches every row on every step, so its decay
+    factor is exactly 1 and its weights are bit-identical to the full
+    update's.
+
     The dataset's ``known_outliers`` (if any) serve as the labeled pool.
     """
     params.validate()
@@ -242,6 +276,7 @@ def train(
     init_ss, batch_ss, eval_ss = root.spawn(3)
     weights = initial_weights(d, m, np.random.default_rng(init_ss))
     state = OptimizerState.zeros(d, m, params.optimizer_decay, params.optimizer_eps)
+    last_step = np.zeros(d, dtype=np.int64)
 
     values = dataset.values
     n_batches = math.ceil(params.samples_per_epoch / params.batch_size)
@@ -257,7 +292,7 @@ def train(
             labeled=labeled,
             labeled_fraction=params.labeled_fraction,
         )
-        losses, _ = _batch_loss_grad(values, w, q, p, g, params.margin, want_grad=False)
+        losses, _, _ = _batch_loss_grad(values, w, q, p, g, params.margin, want_grad=False)
         return losses
 
     init_losses = _eval_losses(weights)
@@ -279,9 +314,19 @@ def train(
                 labeled=labeled,
                 labeled_fraction=params.labeled_fraction,
             )
-            losses, grad = _batch_loss_grad(values, weights, q, p, g, params.margin)
+            losses, cols, grad = _batch_loss_grad(values, weights, q, p, g, params.margin)
             epoch_losses[j] = losses.mean()
-            weights, state = adadelta_step(state, weights, grad)
+            decay = state.decay ** (k - 1 - last_step[cols])[:, None]
+            touched = OptimizerState(
+                state.accum_grad_sq[cols] * decay,
+                state.accum_update_sq[cols] * decay,
+                state.decay,
+                state.eps,
+            )
+            weights[cols], touched = adadelta_step(touched, weights[cols], grad)
+            state.accum_grad_sq[cols] = touched.accum_grad_sq
+            state.accum_update_sq[cols] = touched.accum_update_sq
+            last_step[cols] = k
         report.epoch_mean_loss.append(float(epoch_losses.mean()))
 
     final_losses = _eval_losses(weights)

@@ -59,6 +59,17 @@ def _write_synth(tmp_path, fmt="csv", n_inliers=80, n_outliers=6, d_noise=45):
     return out
 
 
+def _write_nan_csv(tmp_path):
+    """A synthetic CSV whose sixth line has a ``nan`` in its first cell."""
+    data = _write_synth(tmp_path, "csv")
+    lines = data.read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[0] = "nan"
+    lines[5] = ",".join(cells)
+    data.write_text("\n".join(lines) + "\n")
+    return data
+
+
 class TestSynthCommand:
     def test_csv_shape_and_rate(self, tmp_path):
         path = _write_synth(tmp_path, "csv", n_inliers=100, n_outliers=5, d_noise=95)
@@ -210,12 +221,7 @@ class TestPipelineCommand:
         assert "unknown config key" in capsys.readouterr().err
 
     def test_non_finite_input_rejected_before_training(self, tmp_path, capsys):
-        data = _write_synth(tmp_path, "csv")
-        lines = data.read_text().splitlines()
-        cells = lines[5].split(",")
-        cells[0] = "nan"
-        lines[5] = ",".join(cells)
-        data.write_text("\n".join(lines) + "\n")
+        data = _write_nan_csv(tmp_path)
         out_dir = tmp_path / "run"
         rc = main(["pipeline", "--input", str(data), "--output-dir", str(out_dir),
                    "--label-column", "label", "--rep-dim", "6"])
@@ -223,6 +229,28 @@ class TestPipelineCommand:
         assert rc == 1
         assert err.startswith("error:") and "non-finite values" in err
         assert not (out_dir / "model.repen").exists()
+
+    def test_bad_setting_reported_before_the_file_is_read(self, tmp_path, capsys):
+        data = _write_nan_csv(tmp_path)
+        out_dir = tmp_path / "run"
+        capsys.readouterr()
+        rc = main(["pipeline", "--input", str(data), "--output-dir", str(out_dir),
+                   "--label-column", "label", "--rep-dim", "0"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: rep_dim >= 1 required, got 0\n"
+        assert not out_dir.exists()
+
+    def test_sparse_deterministic_rerun_is_bit_identical(self, tmp_path, thread_env):
+        data = _write_synth(tmp_path, "libsvm")
+        runs = (tmp_path / "first", tmp_path / "second")
+        for out_dir in runs:
+            assert main([
+                "--deterministic", "pipeline", "--input", str(data),
+                "--output-dir", str(out_dir), "--rep-dim", "6", "--n-epochs", "2",
+                "--samples-per-epoch", "256", "--batch-size", "64", "--rng-seed", "3",
+            ]) == 0
+        for name in ("model.repen", "scores.csv", "embedded.csv"):
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
 
 
 class TestScoreCommand:
@@ -347,6 +375,24 @@ class TestDownsampleCommand:
         assert rc == 0
         ds = load_csv(out, label_column="label")
         assert int(ds.labels.sum()) == 2  # floor(0.02 * 98 / 0.98)
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--rate", "1.5"], "rate in (0, 1) required, got 1.5"),
+         (["--seed", "-1"], "seed >= 0 required, got -1")],
+        ids=["rate", "seed"],
+    )
+    def test_bad_setting_reported_before_the_file_is_read(
+        self, tmp_path, capsys, flags, message
+    ):
+        data = _write_nan_csv(tmp_path)
+        out = tmp_path / "down.csv"
+        capsys.readouterr()
+        rc = main(["downsample", "--input", str(data), "--output", str(out),
+                   "--label-column", "label", *flags])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 class TestExperimentCommand:

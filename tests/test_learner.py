@@ -1,7 +1,10 @@
 """Representation map, ranking loss, exact gradients, optimizer, training."""
 
+import math
+
 import numpy as np
 import pytest
+import scipy.sparse as sps
 
 from repen.data import (
     CandidateSets,
@@ -14,7 +17,9 @@ from repen.data import (
 from repen.ingest import synth_gaussian_with_outliers
 from repen.learner import (
     OptimizerState,
+    _batch_loss_grad,
     adadelta_step,
+    initial_weights,
     load_model,
     loss_gradient,
     save_model,
@@ -23,6 +28,7 @@ from repen.learner import (
     triplet_loss,
 )
 from repen.pipeline import run_pipeline
+from repen.sampling import sample_batch_arrays
 from repen.sp import SpConfig, sp_score
 from repen.thresholding import candidate_sets
 
@@ -308,6 +314,85 @@ class TestTrain:
         params = HyperParams(rep_dim=11, n_epochs=1)
         with pytest.raises(ValueError, match="rep_dim"):
             train(ds, sets, scores, params)
+
+
+def _sparse_training_inputs(n=200, d=5000, nnz_per_row=10, seed=4):
+    """CSR rows of random columns; the last tenth, shifted up by 4, are outliers."""
+    rng = np.random.default_rng(seed)
+    cols = np.concatenate([np.sort(rng.choice(d, nnz_per_row, replace=False)) for _ in range(n)])
+    values = rng.uniform(0.0, 1.0, size=n * nnz_per_row)
+    n_out = n // 10
+    values[-n_out * nnz_per_row:] += 4.0
+    indptr = np.arange(n + 1) * nnz_per_row
+    labels = np.arange(n) >= n - n_out
+    ds = Dataset(sps.csr_matrix((values, cols, indptr), shape=(n, d)), labels)
+    scores = sp_score(ds, SpConfig(rng_seed=seed + 1))
+    return ds, candidate_sets(scores, 1.732), scores
+
+
+def _reference_train(ds, sets, scores, params):
+    """``train``'s weights from the full (D, M) gradient and update on every step."""
+    init_ss, batch_ss, _ = np.random.SeedSequence(params.rng_seed).spawn(3)
+    weights = initial_weights(ds.n_features, params.rep_dim, np.random.default_rng(init_ss))
+    state = OptimizerState.zeros(
+        ds.n_features, params.rep_dim, params.optimizer_decay, params.optimizer_eps
+    )
+    n_batches = math.ceil(params.samples_per_epoch / params.batch_size)
+    for stream in batch_ss.spawn(params.n_epochs * n_batches):
+        q, p, g = sample_batch_arrays(
+            sets, scores, params.query_size, params.batch_size,
+            np.random.default_rng(stream),
+            labeled=ds.known_outliers, labeled_fraction=params.labeled_fraction,
+        )
+        _, cols, grad = _batch_loss_grad(ds.values, weights, q, p, g, params.margin)
+        full = np.zeros_like(weights)
+        full[cols] = grad
+        weights, state = adadelta_step(state, weights, full)
+    return weights
+
+
+class TestTouchedRowUpdate:
+    PARAMS = HyperParams(rep_dim=4, n_epochs=3, samples_per_epoch=256, batch_size=32,
+                         rng_seed=7)
+
+    def test_sparse_train_matches_full_update(self):
+        ds, sets, scores = _sparse_training_inputs()
+        model, _ = train(ds, sets, scores, self.PARAMS)
+        reference = _reference_train(ds, sets, scores, self.PARAMS)
+        np.testing.assert_allclose(model.weights, reference, rtol=1e-12, atol=0.0)
+
+    def test_dense_train_is_bit_identical_to_full_update(self):
+        ds, sets, scores = _training_inputs(n_in=60, n_out=5, d=30)
+        model, _ = train(ds, sets, scores, self.PARAMS)
+        reference = _reference_train(ds, sets, scores, self.PARAMS)
+        assert model.weights.tobytes() == reference.tobytes()
+
+    def test_sparse_gradient_covers_touched_columns_only(self):
+        ds, sets, scores = _sparse_training_inputs()
+        rng = np.random.default_rng(3)
+        q, p, g = sample_batch_arrays(sets, scores, 2, 16, rng)
+        weights = rng.standard_normal((ds.n_features, 4)) * 0.05
+        losses, cols, grad = _batch_loss_grad(ds.values, weights, q, p, g, 1000.0)
+        rows = np.unique(np.concatenate([q.ravel(), p, g]))
+        np.testing.assert_array_equal(cols, np.unique(ds.values[rows].indices))
+        assert grad.shape == (cols.size, 4)
+        assert cols.size < ds.n_features
+        dense_losses, all_cols, full = _batch_loss_grad(
+            ds.values.toarray(), weights, q, p, g, 1000.0
+        )
+        assert all_cols == slice(None) and full.shape == weights.shape
+        np.testing.assert_allclose(losses, dense_losses, rtol=1e-12)
+        np.testing.assert_allclose(grad, full[cols], rtol=1e-12, atol=1e-15)
+        untouched = np.ones(ds.n_features, dtype=bool)
+        untouched[cols] = False
+        assert np.all(full[untouched] == 0.0)
+        assert np.any(grad != 0.0)
+
+    def test_sparse_train_is_deterministic(self):
+        ds, sets, scores = _sparse_training_inputs()
+        m1, _ = train(ds, sets, scores, self.PARAMS)
+        m2, _ = train(ds, sets, scores, self.PARAMS)
+        assert m1.weights.tobytes() == m2.weights.tobytes()
 
 
 class TestTransform:
