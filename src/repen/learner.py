@@ -17,13 +17,16 @@ in the min; a side with every member skipped makes the whole triplet
 contribute zero.
 
 Batches average per-triplet gradients over all b triplets (zero-loss
-triplets included) before a single ADADELTA step. On CSR input a step
-reads and writes only the weight and accumulator rows of the columns the
-batch's rows touch: an untouched row has a zero gradient, so its step is
-zero and its accumulators only decay by ``rho`` per step, and that decay
-is applied as ``rho ** k`` when the row is next touched (lazy updates in
-the manner of Carpenter 2008). Dense input touches every column, so its
-arithmetic is the plain full-matrix update.
+triplets included). A batch whose triplets all meet the margin has an
+exactly zero gradient, and a zero-gradient ADADELTA step leaves the
+weights alone and only decays the accumulators by ``rho``, so training
+skips it and applies the decay when the accumulators are next used; every
+other batch takes one ADADELTA step. On CSR input a step reads and writes
+only the weight and accumulator rows of the columns the batch's rows
+touch: an untouched row has a zero gradient, so its accumulators only
+decay, by ``rho ** k`` when the row is next touched (lazy updates in the
+manner of Carpenter 2008). Dense input touches every column and decays by
+k successive products, the arithmetic of the plain full-matrix update.
 
 Model persistence format (stable): little-endian binary, magic ``RPNM``,
 uint32 version (currently 1), uint64 D, uint64 M, then D*M float64 weights
@@ -41,7 +44,7 @@ import scipy.sparse as sp
 
 from .data import CandidateSets, Dataset, OutlierScores, RepresentationModel, Triplet
 from .params import HyperParams
-from .sampling import sample_batch_arrays
+from .sampling import sample_batch_arrays, sampling_pools
 
 _MODEL_MAGIC = b"RPNM"
 _MODEL_VERSION = 1
@@ -70,6 +73,22 @@ def transform(model: RepresentationModel, dataset: Dataset) -> Dataset:
     )
 
 
+@dataclass
+class PreActivationCache:
+    """Rows of ``values @ weights`` for the current weights, filled on demand.
+
+    ``pre[i]`` is valid only where ``fresh[i]``. ``train`` keeps one per
+    call and clears ``fresh`` after every weight update.
+    """
+
+    pre: np.ndarray
+    fresh: np.ndarray
+
+    @classmethod
+    def empty(cls, n: int, m: int) -> "PreActivationCache":
+        return cls(np.empty((n, m)), np.zeros(n, dtype=bool))
+
+
 def _batch_loss_grad(
     values,
     weights: np.ndarray,
@@ -78,6 +97,8 @@ def _batch_loss_grad(
     negatives: np.ndarray,
     margin: float,
     want_grad: bool = True,
+    *,
+    cache: PreActivationCache | None = None,
 ):
     """Losses (b,), touched columns and their batch-mean weight gradient.
 
@@ -87,44 +108,69 @@ def _batch_loss_grad(
     CSR input ``cols`` is the sorted distinct column indices of the
     batch's rows and ``grad`` has shape (len(cols), M); for dense input
     ``cols`` is ``slice(None)`` and ``grad`` is the full (D, M) gradient.
+    When no triplet has a positive loss the gradient is exactly zero:
+    ``cols`` is an empty int64 array and ``grad`` has shape (0, M).
     ``cols`` and ``grad`` are None when ``want_grad`` is false.
+
+    With a ``cache`` holding some of the batch's rows, only the others are
+    computed (and stored), and an inactive batch costs no more. On CSR
+    input the results are the same as without the cache. On dense input a
+    batch with a positive loss is computed again as without the cache,
+    because BLAS may round a row of a product differently depending on the
+    other rows in it; only a triplet within rounding of the margin could
+    then be judged inactive when it is not.
     """
     b, n = queries.shape
     rows = np.unique(np.concatenate([queries.ravel(), positives, negatives]))
-    block = values[rows]
-    pre = np.asarray(block @ weights)
-    emb = np.maximum(pre, 0.0)
-    active_mask = pre > 0.0
-
     loc_q = np.searchsorted(rows, queries)
     loc_p = np.searchsorted(rows, positives)
     loc_n = np.searchsorted(rows, negatives)
-
-    eq = emb[loc_q]                      # (b, n, M)
-    epos = emb[loc_p][:, None, :]        # (b, 1, M)
-    eneg = emb[loc_n][:, None, :]
-
-    d_pos_all = ((epos - eq) ** 2).sum(axis=2)   # (b, n)
-    d_neg_all = ((eneg - eq) ** 2).sum(axis=2)
-
     excl_pos = queries == positives[:, None]
     excl_neg = queries == negatives[:, None]
-    d_pos_all = np.where(excl_pos, np.inf, d_pos_all)
-    d_neg_all = np.where(excl_neg, np.inf, d_neg_all)
-
-    sel_pos = np.argmin(d_pos_all, axis=1)
-    sel_neg = np.argmin(d_neg_all, axis=1)
     valid = ~excl_pos.all(axis=1) & ~excl_neg.all(axis=1)
-
     arange = np.arange(b)
-    d_pos = np.where(valid, d_pos_all[arange, sel_pos], 0.0)
-    d_neg = np.where(valid, d_neg_all[arange, sel_neg], 0.0)
-    losses = np.where(valid, np.maximum(0.0, margin + d_pos - d_neg), 0.0)
+
+    def hinge(pre):
+        emb = np.maximum(pre, 0.0)
+        eq = emb[loc_q]                      # (b, n, M)
+        epos = emb[loc_p][:, None, :]        # (b, 1, M)
+        eneg = emb[loc_n][:, None, :]
+        d_pos_all = np.where(excl_pos, np.inf, ((epos - eq) ** 2).sum(axis=2))   # (b, n)
+        d_neg_all = np.where(excl_neg, np.inf, ((eneg - eq) ** 2).sum(axis=2))
+        sel_pos = np.argmin(d_pos_all, axis=1)
+        sel_neg = np.argmin(d_neg_all, axis=1)
+        d_pos = np.where(valid, d_pos_all[arange, sel_pos], 0.0)
+        d_neg = np.where(valid, d_neg_all[arange, sel_neg], 0.0)
+        losses = np.where(valid, np.maximum(0.0, margin + d_pos - d_neg), 0.0)
+        return emb, sel_pos, sel_neg, losses
+
+    block = pre = None
+    if cache is not None and cache.fresh[rows].any():
+        stale = rows[~cache.fresh[rows]]
+        if stale.size:
+            cache.pre[stale] = np.asarray(values[stale] @ weights)
+            cache.fresh[stale] = True
+        pre = cache.pre[rows]
+        emb, sel_pos, sel_neg, losses = hinge(pre)
+        # Dense rows from other batches' products only show that every
+        # triplet meets the margin (see the docstring).
+        if not sp.issparse(values) and np.any(losses > 0.0):
+            pre = None
+    if pre is None:
+        block = values[rows]
+        pre = np.asarray(block @ weights)
+        if cache is not None:
+            cache.pre[rows] = pre
+            cache.fresh[rows] = True
+        emb, sel_pos, sel_neg, losses = hinge(pre)
+    active_mask = pre > 0.0
 
     if not want_grad:
         return losses, None, None
 
     active = losses > 0.0
+    if not active.any():
+        return losses, np.empty(0, dtype=np.int64), np.zeros((0, weights.shape[1]))
     qp = loc_q[arange, sel_pos]
     qn = loc_q[arange, sel_neg]
     u = (emb[loc_p] - emb[qp]) * (2.0 * active)[:, None]
@@ -136,6 +182,8 @@ def _batch_loss_grad(
     np.add.at(coeff, loc_n, -v * active_mask[loc_n])
     np.add.at(coeff, qn, v * active_mask[qn])
 
+    if block is None:
+        block = values[rows]
     if sp.issparse(block):
         cols, local = np.unique(block.indices, return_inverse=True)
         block = sp.csr_matrix((block.data, local, block.indptr), shape=(rows.size, cols.size))
@@ -223,13 +271,19 @@ class TrainReport:
 
     The violation rate is the fraction of a held-out evaluation batch whose
     positive-side distance plus margin still exceeds the negative-side
-    distance (i.e. triplets with positive loss).
+    distance (i.e. triplets with positive loss). ``update_steps`` counts
+    the training steps that took an ADADELTA update, those whose batch had
+    a triplet with positive loss; the others left the weights unchanged.
+    ``last_update_step`` is the last of them (steps count from 1; 0 when
+    none did).
     """
 
     epoch_mean_loss: list[float] = field(default_factory=list)
     final_mean_loss: float = 0.0
     violation_rate: float = 0.0
     initial_violation_rate: float = 0.0
+    update_steps: int = 0
+    last_update_step: int = 0
 
 
 def initial_weights(d: int, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -247,21 +301,18 @@ def train(
     """Learn representation weights from candidate sets and their scores.
 
     Runs ``n_epochs * ceil(samples_per_epoch / batch_size)`` batches; each
-    batch samples triplets, averages their gradients, and applies one
-    ADADELTA step. Separate child streams drive initialization, every batch,
-    and the held-out evaluation batch, so runs are reproducible from
-    ``params.rng_seed`` alone and independent of evaluation order.
+    batch samples triplets and averages their gradients. Separate child
+    streams drive initialization, every batch, and the held-out evaluation
+    batch, so runs are reproducible from ``params.rng_seed`` alone and
+    independent of evaluation order.
 
-    Each step gathers the weight and accumulator rows of the columns the
-    batch touches, first decays the accumulators by ``rho`` for each step
-    the row sat out, and writes the updated rows back. This is the full
-    (D, M) update, not an approximation: a row outside the batch's columns
-    has a zero gradient, so the full update leaves its weights alone and
-    only decays its accumulators. The powers ``rho ** k`` round differently
-    from k successive products, which moves sparse weights by about 1e-16
-    relative; dense input touches every row on every step, so its decay
-    factor is exactly 1 and its weights are bit-identical to the full
-    update's.
+    A batch with no positive-loss triplet takes no step (see the module
+    docs); pre-activations come from a ``PreActivationCache`` that every
+    update invalidates. On CSR input an update decays the touched
+    accumulator rows by ``rho ** k`` for the k steps they sat out, which
+    rounds differently from k successive products and moves sparse
+    weights by about 1e-16 relative; dense input decays by k successive
+    products, so its weights are bit-identical to the full update's.
 
     The dataset's ``known_outliers`` (if any) serve as the labeled pool.
     """
@@ -271,6 +322,7 @@ def train(
     if m > d:
         raise ValueError(f"rep_dim must be <= n_features, got {m} > {d}")
     labeled = dataset.known_outliers
+    pools = sampling_pools(sets, scores, labeled, params.labeled_fraction)
 
     root = np.random.SeedSequence(params.rng_seed)
     init_ss, batch_ss, eval_ss = root.spawn(3)
@@ -279,11 +331,11 @@ def train(
     last_step = np.zeros(d, dtype=np.int64)
 
     values = dataset.values
+    cache = PreActivationCache.empty(values.shape[0], m)
     n_batches = math.ceil(params.samples_per_epoch / params.batch_size)
 
-    def _eval_losses(w: np.ndarray) -> np.ndarray:
-        rng = np.random.default_rng(eval_ss)
-        q, p, g = sample_batch_arrays(
+    def _sample(rng: np.random.Generator):
+        return sample_batch_arrays(
             sets,
             scores,
             params.query_size,
@@ -291,11 +343,17 @@ def train(
             rng,
             labeled=labeled,
             labeled_fraction=params.labeled_fraction,
+            pools=pools,
         )
-        losses, _, _ = _batch_loss_grad(values, w, q, p, g, params.margin, want_grad=False)
+
+    def _eval_losses() -> np.ndarray:
+        q, p, g = _sample(np.random.default_rng(eval_ss))
+        losses, _, _ = _batch_loss_grad(
+            values, weights, q, p, g, params.margin, want_grad=False, cache=cache
+        )
         return losses
 
-    init_losses = _eval_losses(weights)
+    init_losses = _eval_losses()
     report = TrainReport(initial_violation_rate=float((init_losses > 0).mean()))
 
     streams = batch_ss.spawn(params.n_epochs * n_batches) if params.n_epochs else []
@@ -303,33 +361,39 @@ def train(
     for _ in range(params.n_epochs):
         epoch_losses = np.empty(n_batches)
         for j in range(n_batches):
-            rng = np.random.default_rng(streams[k])
+            q, p, g = _sample(np.random.default_rng(streams[k]))
             k += 1
-            q, p, g = sample_batch_arrays(
-                sets,
-                scores,
-                params.query_size,
-                params.batch_size,
-                rng,
-                labeled=labeled,
-                labeled_fraction=params.labeled_fraction,
+            losses, cols, grad = _batch_loss_grad(
+                values, weights, q, p, g, params.margin, cache=cache
             )
-            losses, cols, grad = _batch_loss_grad(values, weights, q, p, g, params.margin)
             epoch_losses[j] = losses.mean()
-            decay = state.decay ** (k - 1 - last_step[cols])[:, None]
-            touched = OptimizerState(
-                state.accum_grad_sq[cols] * decay,
-                state.accum_update_sq[cols] * decay,
-                state.decay,
-                state.eps,
-            )
-            weights[cols], touched = adadelta_step(touched, weights[cols], grad)
-            state.accum_grad_sq[cols] = touched.accum_grad_sq
-            state.accum_update_sq[cols] = touched.accum_update_sq
-            last_step[cols] = k
+            if grad.shape[0] == 0:  # every triplet met the margin
+                continue
+            if isinstance(cols, slice):
+                for _ in range(k - 1 - report.last_update_step):
+                    state.accum_grad_sq *= state.decay
+                    state.accum_update_sq *= state.decay
+                weights, state = adadelta_step(state, weights, grad)
+            else:
+                decay = state.decay ** (k - 1 - last_step[cols])[:, None]
+                touched = OptimizerState(
+                    np.take(state.accum_grad_sq, cols, axis=0) * decay,
+                    np.take(state.accum_update_sq, cols, axis=0) * decay,
+                    state.decay,
+                    state.eps,
+                )
+                weights[cols], touched = adadelta_step(
+                    touched, np.take(weights, cols, axis=0), grad
+                )
+                state.accum_grad_sq[cols] = touched.accum_grad_sq
+                state.accum_update_sq[cols] = touched.accum_update_sq
+                last_step[cols] = k
+            cache.fresh[:] = False
+            report.update_steps += 1
+            report.last_update_step = k
         report.epoch_mean_loss.append(float(epoch_losses.mean()))
 
-    final_losses = _eval_losses(weights)
+    final_losses = _eval_losses()
     report.violation_rate = float((final_losses > 0).mean())
     report.final_mean_loss = (
         report.epoch_mean_loss[-1] if report.epoch_mean_loss else float(final_losses.mean())

@@ -10,11 +10,15 @@ are dropped from the inlier side so they never act as pseudo-inliers.
 
 All draws are with replacement across triplets and come from an explicit
 generator argument, so batch construction is deterministic per stream.
+The pools and their weights depend only on the scores, the sets and the
+labels, so a fit computes them once (``sampling_pools``) and any warning
+about degenerate scores fires once per fit, not once per batch.
 """
 
 from __future__ import annotations
 
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,26 +63,27 @@ def negative_sampling_weights(scores: OutlierScores, outliers) -> np.ndarray:
     return r / total
 
 
-def sample_batch_arrays(
-    sets: CandidateSets,
-    scores: OutlierScores,
-    n: int,
-    b: int,
-    rng: np.random.Generator,
-    labeled=None,
-    labeled_fraction: float = 0.5,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw one batch as index arrays: queries (b, n), positives and negatives (b,).
+@dataclass(frozen=True)
+class SamplingPools:
+    """What every batch of one fit draws from: fixed by the scores, sets and labels."""
 
-    With a non-empty ``labeled`` pool, the last ``floor(b * labeled_fraction)``
-    negatives come uniformly from the pool and the rest from the outlier
-    candidates by score weighting; labeled indices are removed from the
-    inlier side first.
+    inliers: np.ndarray
+    query_weights: np.ndarray
+    outliers: np.ndarray
+    negative_weights: np.ndarray | None
+    labeled: np.ndarray | None
+
+
+def sampling_pools(
+    sets: CandidateSets, scores: OutlierScores, labeled=None, labeled_fraction: float = 0.5
+) -> SamplingPools:
+    """Index pools and selection weights for ``sample_batch_arrays``.
+
+    Labeled indices are removed from the inlier side. An empty ``labeled``
+    counts as none. The negative weights are None when no negative comes
+    from the outlier candidates (a labeled pool and ``labeled_fraction``
+    1).
     """
-    if n < 1:
-        raise ValueError(f"query size >= 1 required, got {n}")
-    if b < 1:
-        raise ValueError(f"batch size >= 1 required, got {b}")
     inliers = sets.inlier_idx
     labeled_arr = None
     if labeled is not None:
@@ -91,18 +96,53 @@ def sample_batch_arrays(
         raise ValueError("no inlier candidates left to sample from")
     if sets.outlier_idx.size == 0:
         raise ValueError("outlier candidate set must be non-empty")
+    only_labeled = labeled_arr is not None and labeled_fraction == 1.0
+    return SamplingPools(
+        inliers,
+        query_sampling_weights(scores, inliers),
+        sets.outlier_idx,
+        None if only_labeled else negative_sampling_weights(scores, sets.outlier_idx),
+        labeled_arr,
+    )
 
-    wq = query_sampling_weights(scores, inliers)
-    queries = rng.choice(inliers, size=(b, n), replace=True, p=wq)
-    positives = rng.choice(inliers, size=b, replace=True)
 
-    n_labeled = int(b * labeled_fraction) if labeled_arr is not None else 0
+def sample_batch_arrays(
+    sets: CandidateSets,
+    scores: OutlierScores,
+    n: int,
+    b: int,
+    rng: np.random.Generator,
+    labeled=None,
+    labeled_fraction: float = 0.5,
+    *,
+    pools: SamplingPools | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw one batch as index arrays: queries (b, n), positives and negatives (b,).
+
+    With a non-empty ``labeled`` pool, the last ``floor(b * labeled_fraction)``
+    negatives come uniformly from the pool and the rest from the outlier
+    candidates by score weighting; labeled indices are removed from the
+    inlier side first. A caller drawing many batches passes ``pools``,
+    computed once by ``sampling_pools(sets, scores, labeled,
+    labeled_fraction)``; the draws are the same either way.
+    """
+    if n < 1:
+        raise ValueError(f"query size >= 1 required, got {n}")
+    if b < 1:
+        raise ValueError(f"batch size >= 1 required, got {b}")
+    if pools is None:
+        pools = sampling_pools(sets, scores, labeled, labeled_fraction)
+
+    queries = rng.choice(pools.inliers, size=(b, n), replace=True, p=pools.query_weights)
+    positives = rng.choice(pools.inliers, size=b, replace=True)
+
+    n_labeled = int(b * labeled_fraction) if pools.labeled is not None else 0
     n_candidates = b - n_labeled
     parts = []
     if n_candidates:
-        wn = negative_sampling_weights(scores, sets.outlier_idx)
-        parts.append(rng.choice(sets.outlier_idx, size=n_candidates, replace=True, p=wn))
+        parts.append(rng.choice(pools.outliers, size=n_candidates, replace=True,
+                                p=pools.negative_weights))
     if n_labeled:
-        parts.append(rng.choice(labeled_arr, size=n_labeled, replace=True))
+        parts.append(rng.choice(pools.labeled, size=n_labeled, replace=True))
     negatives = np.concatenate(parts)
     return queries, positives, negatives

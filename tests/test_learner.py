@@ -1,11 +1,13 @@
 """Representation map, ranking loss, exact gradients, optimizer, training."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sps
 
+from repen import learner
 from repen.data import (
     CandidateSets,
     Dataset,
@@ -17,6 +19,7 @@ from repen.data import (
 from repen.ingest import synth_gaussian_with_outliers
 from repen.learner import (
     OptimizerState,
+    PreActivationCache,
     _batch_loss_grad,
     adadelta_step,
     initial_weights,
@@ -393,6 +396,144 @@ class TestTouchedRowUpdate:
         m1, _ = train(ds, sets, scores, self.PARAMS)
         m2, _ = train(ds, sets, scores, self.PARAMS)
         assert m1.weights.tobytes() == m2.weights.tobytes()
+
+
+class TestSkippedSteps:
+    """A batch with no positive-loss triplet changes no weight and takes no step."""
+
+    # With margin 100 the dense fit below skips steps between its updates,
+    # so the catch-up decay of the accumulators runs.
+    PARAMS = HyperParams(rep_dim=4, n_epochs=3, samples_per_epoch=256, batch_size=32,
+                         rng_seed=7, margin=100.0)
+    STEPS = 24
+
+    @pytest.mark.parametrize("params", [TestTouchedRowUpdate.PARAMS, PARAMS])
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_report_counts_the_optimizer_steps(self, monkeypatch, params, sparse):
+        inputs = (_sparse_training_inputs() if sparse
+                  else _training_inputs(n_in=60, n_out=5, d=30))
+        # The step number (from 1) of each adadelta_step call.
+        grad_calls, updates = [0], []
+        loss_grad, step = learner._batch_loss_grad, learner.adadelta_step
+
+        def counting_loss_grad(*args, **kwargs):
+            grad_calls[0] += kwargs.get("want_grad", True)
+            return loss_grad(*args, **kwargs)
+
+        def counting_step(*args, **kwargs):
+            updates.append(grad_calls[0])
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(learner, "_batch_loss_grad", counting_loss_grad)
+        monkeypatch.setattr(learner, "adadelta_step", counting_step)
+        _, report = train(*inputs, params)
+        assert grad_calls[0] == self.STEPS
+        assert report.update_steps == len(updates)
+        assert report.last_update_step == updates[-1]
+        assert 0 < report.update_steps < self.STEPS
+
+    def test_dense_skips_between_updates_are_bit_identical_to_full_update(self):
+        ds, sets, scores = _training_inputs(n_in=60, n_out=5, d=30)
+        model, report = train(ds, sets, scores, self.PARAMS)
+        assert report.update_steps < report.last_update_step
+        reference = _reference_train(ds, sets, scores, self.PARAMS)
+        assert model.weights.tobytes() == reference.tobytes()
+
+    def test_dense_skips_on_wide_input_are_bit_identical_to_full_update(self):
+        # Here OpenBLAS rounds some rows of a product of a few rows differently
+        # from the same rows of a product of many, so taking an active batch's
+        # rows from earlier products would change the weights.
+        ds, sets, scores = _training_inputs(n_in=300, n_out=10, d=500, seed=1)
+        params = HyperParams(n_epochs=3, rng_seed=0)
+        model, report = train(ds, sets, scores, params)
+        assert report.update_steps < report.last_update_step
+        reference = _reference_train(ds, sets, scores, params)
+        assert model.weights.tobytes() == reference.tobytes()
+
+    def test_sparse_skips_between_updates_match_full_update(self):
+        ds, sets, scores = _sparse_training_inputs(d=300, nnz_per_row=30)
+        params = TestTouchedRowUpdate.PARAMS
+        model, report = train(ds, sets, scores, params)
+        assert report.update_steps < report.last_update_step
+        reference = _reference_train(ds, sets, scores, params)
+        np.testing.assert_allclose(model.weights, reference, rtol=1e-12, atol=0.0)
+
+    # With every negative drawn from the labeled pool, the outlier
+    # candidates' weights are never used and nothing warns.
+    @pytest.mark.parametrize("labeled_fraction, warnings_expected", [(0.5, 1), (1.0, 0)])
+    def test_zero_score_warning_fires_once_per_fit(self, labeled_fraction, warnings_expected):
+        ds, _, _ = _training_inputs(n_in=40, n_out=4, d=20)
+        outliers = np.flatnonzero(ds.labels)
+        ds = Dataset(ds.values, ds.labels, known_outliers=outliers[:2])
+        sets = CandidateSets(outliers, np.flatnonzero(~ds.labels))
+        scores = OutlierScores.from_scores(np.zeros(ds.n_objects))
+        params = HyperParams(rep_dim=4, n_epochs=2, samples_per_epoch=256, batch_size=64,
+                             rng_seed=2, labeled_fraction=labeled_fraction)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            train(ds, sets, scores, params)
+        assert [str(w.message) for w in caught] == warnings_expected * [
+            "all outlier-candidate scores are zero; using uniform negative weights"
+        ]
+
+
+class _NoGather:
+    """Stands in for a data matrix whose rows must not be read."""
+
+    def __getitem__(self, rows):
+        raise AssertionError("rows of values were gathered")
+
+
+class TestBatchLossGradContract:
+    # Rows 0 and 1 coincide; row 2 is 50 away, so with margin 1000 the
+    # batch's triplets all meet the margin.
+    VALUES = np.array([[0.0, 0.0], [0.0, 0.0], [50.0, 0.0]])
+    BATCH = (np.zeros((4, 1), dtype=np.int64), np.ones(4, dtype=np.int64),
+             np.full(4, 2, dtype=np.int64))
+
+    @pytest.mark.parametrize("to_values", [np.asarray, sps.csr_matrix])
+    def test_inactive_batch_returns_empty_gradient(self, to_values):
+        losses, cols, grad = _batch_loss_grad(to_values(self.VALUES), np.eye(2), *self.BATCH,
+                                              1000.0)
+        assert np.array_equal(losses, np.zeros(4))
+        assert cols.dtype == np.int64 and cols.shape == (0,)
+        assert grad.dtype == np.float64 and grad.shape == (0, 2)
+
+    @pytest.mark.parametrize("to_values", [np.asarray, sps.csr_matrix])
+    def test_inactive_batch_with_fresh_cache_reads_no_rows(self, to_values):
+        cache = PreActivationCache.empty(3, 2)
+        first = _batch_loss_grad(to_values(self.VALUES), np.eye(2), *self.BATCH, 1000.0,
+                                 cache=cache)
+        assert cache.fresh.all()
+        again = _batch_loss_grad(_NoGather(), np.eye(2), *self.BATCH, 1000.0, cache=cache)
+        for x, y in zip(first, again):
+            assert x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("to_values", [np.asarray, sps.csr_matrix])
+    def test_loss_gradient_of_inactive_triplet_is_zero(self, to_values):
+        data = Dataset(to_values(self.VALUES))
+        grad = loss_gradient(RepresentationModel(np.eye(2)), data, Triplet((0,), 1, 2), 1000.0)
+        assert np.array_equal(grad, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_cache_gives_the_same_losses_and_gradient(self, sparse):
+        ds, sets, scores = (_sparse_training_inputs() if sparse
+                            else _training_inputs(n_in=60, n_out=5, d=30))
+        rng = np.random.default_rng(3)
+        weights = rng.standard_normal((ds.n_features, 4)) * 0.05
+        cache = PreActivationCache.empty(ds.n_objects, 4)
+        # A first batch leaves part of the second batch's rows fresh.
+        _batch_loss_grad(ds.values, weights, *sample_batch_arrays(sets, scores, 1, 8, rng),
+                         1000.0, cache=cache)
+        batch = sample_batch_arrays(sets, scores, 2, 16, rng)
+        rows = np.unique(np.concatenate([batch[0].ravel(), batch[1], batch[2]]))
+        assert 0 < cache.fresh[rows].sum() < rows.size
+        plain = _batch_loss_grad(ds.values, weights, *batch, 1000.0)
+        cached = _batch_loss_grad(ds.values, weights, *batch, 1000.0, cache=cache)
+        assert plain[0].tobytes() == cached[0].tobytes()
+        assert np.any(plain[0] > 0.0)
+        assert np.array_equal(plain[1], cached[1])
+        assert plain[2].tobytes() == cached[2].tobytes()
 
 
 class TestTransform:

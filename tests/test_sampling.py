@@ -9,6 +9,7 @@ from repen.sampling import (
     negative_sampling_weights,
     query_sampling_weights,
     sample_batch_arrays,
+    sampling_pools,
 )
 
 
@@ -132,6 +133,18 @@ class TestSampleBatch:
         b = sample_batch_arrays(sets, scores, 1, 32, np.random.default_rng(5))
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("labeled", [None, np.array([], dtype=int), np.array([1, 7])])
+    def test_precomputed_pools_give_the_same_draws(self, labeled):
+        sets, scores = _simple_sets()
+        pools = sampling_pools(sets, scores, labeled, 0.4)
+        for seed in range(5):
+            plain = sample_batch_arrays(sets, scores, 2, 9, np.random.default_rng(seed),
+                                        labeled=labeled, labeled_fraction=0.4)
+            pooled = sample_batch_arrays(sets, scores, 2, 9, np.random.default_rng(seed),
+                                         labeled=labeled, labeled_fraction=0.4, pools=pools)
+            for x, y in zip(plain, pooled):
+                assert np.array_equal(x, y)
 
     def test_empty_pools_rejected(self, rng):
         sets, scores = _simple_sets()
