@@ -47,8 +47,6 @@ _EXPORTS = {
     "sp_score": "sp",
     "sp_score_embedded": "sp",
     "sp_score_with_subsamples": "sp",
-    "srp_matrix": "srp",
-    "srp_project": "srp",
     "candidate_sets": "thresholding",
     "cantelli_bound": "thresholding",
     "cantelli_partition": "thresholding",

@@ -102,7 +102,7 @@ def _validated(cls, settings: dict):
     return params
 
 
-def _load_dataset(settings: dict):
+def _load_dataset(settings: dict, n_features_hint: int | None = None):
     from . import ingest
     from .data import require_valid
 
@@ -117,7 +117,7 @@ def _load_dataset(settings: dict):
     if fmt == "csv":
         dataset = ingest.load_csv(path, label_column=settings.get("label_column") or None)
     elif fmt == "libsvm":
-        dataset = ingest.load_libsvm(path)
+        dataset = ingest.load_libsvm(path, n_features_hint)
     else:
         raise ValueError(f"unknown format {fmt!r}")
     require_valid(dataset)
@@ -228,8 +228,9 @@ def cmd_score(args: argparse.Namespace) -> int:
     }
     config = SpConfig(args.subsample_size, args.ensemble_size, args.seed)
     config.validate()
-    dataset = _load_dataset(settings)
     model = learner.load_model(args.model)
+    # A libsvm file is only as wide as its largest index; read it at the model's.
+    dataset = _load_dataset(settings, model.n_features)
     scores = sp.sp_score_embedded(dataset, model, config)
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -1,10 +1,14 @@
-"""Ranking quality metrics, result-table IO, and timing helpers."""
+"""Ranking quality and result tables.
+
+``auc`` is the reported detection quality. ``RESULT_HEADER`` and
+``SCALABILITY_HEADER`` fix the experiment tables' columns, which
+``write_rows_csv`` writes byte-deterministically; ``write_gnuplot_script``
+plots one table.
+"""
 
 from __future__ import annotations
 
-import statistics
-import time
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.stats import rankdata
@@ -52,19 +56,6 @@ def auc(scores, labels) -> float:
         raise ValueError("AUC needs at least one outlier and one inlier label")
     ranks = rankdata(scores)
     return float((ranks[labels].sum() - n_out * (n_out + 1) / 2.0) / (n_out * n_in))
-
-
-def timed_median(fn: Callable[[], object]) -> tuple[object, float]:
-    """Run ``fn`` three times; return its first result and the median wall time."""
-    result = None
-    times = []
-    for i in range(3):
-        t0 = time.perf_counter()
-        out = fn()
-        times.append(time.perf_counter() - t0)
-        if i == 0:
-            result = out
-    return result, statistics.median(times)
 
 
 def _format_cell(value) -> str:

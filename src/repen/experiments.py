@@ -1,18 +1,20 @@
 """Experiment protocols: method comparison, labeled-outlier curves,
 representation-dimension sweeps, and scalability measurements.
 
-Every protocol runs ``pipeline.run_pipeline`` and takes its stage times
-from ``PipelineResult.stage_seconds``; no protocol runs a stage of its own.
-Repeat r runs with ``rng_seed + r``. The protocols' keyword defaults come
-from ``params.ExperimentParams``, and its ``validate`` checks their
-arguments before any run starts. The labeled-outlier curve and the
-dimension sweep compute the original-space stage once per repeat and share
-it across every l or M, since it depends only on the data and the seed.
+Each protocol is a loop over ``pipeline.run_pipeline``: it runs no stage
+of its own and times nothing itself. Repeat r runs with ``rng_seed + r``.
+The protocols' keyword defaults come from ``params.ExperimentParams``, and
+its ``validate`` checks their arguments before any run starts. The
+labeled-outlier curve and the dimension sweep compute the original-space
+stage once per repeat and share it across every l or M, since it depends
+only on the data and the seed.
 
-Result rows follow the fixed schema of ``evaluation.RESULT_HEADER``.
-``detect_seconds`` is the median of three scoring passes over the row's
-data; ``train_seconds`` is the run's offline phase (``offline_seconds``),
-which for a shared original-space stage counts that stage's one run.
+Result rows follow the fixed schema of ``evaluation.RESULT_HEADER``. A
+row's ``detect_seconds`` is the scoring stage of the run that produced it,
+read from ``PipelineResult.stage_seconds``: ``score_original`` for an
+``original_sp`` row, ``score_embedded`` for a ``repen_sp`` row.
+``train_seconds`` is the run's offline phase (``offline_seconds``), which
+for a shared original-space stage counts that stage's one run.
 """
 
 from __future__ import annotations
@@ -22,12 +24,10 @@ from typing import Sequence
 
 import numpy as np
 
-from . import sp
 from .data import Dataset
-from .evaluation import timed_median
 from .ingest import synth_gaussian_with_outliers
-from .params import DEFAULT_M_GRID, ExperimentParams, HyperParams, SpConfig
-from .pipeline import PipelineResult, original_stage, run_pipeline, stage_seeds
+from .params import DEFAULT_M_GRID, ExperimentParams, HyperParams
+from .pipeline import PipelineResult, original_stage, run_pipeline
 
 
 def _require_both_classes(dataset: Dataset, protocol: str) -> None:
@@ -36,27 +36,24 @@ def _require_both_classes(dataset: Dataset, protocol: str) -> None:
         raise ValueError(f"{protocol} requires ground-truth labels of both classes")
 
 
-def _row(method: str, data: Dataset, config: SpConfig, repeat: int, auc,
+def _row(method: str, m: int, repeat: int, auc, detect_seconds: float,
          n_labeled: int = 0, train_seconds: float = 0.0) -> dict:
-    """One result row; ``detect_seconds`` times three scoring passes over ``data``."""
-    _, seconds = timed_median(lambda: sp.sp_score(data, config))
+    """One result row."""
     return {
         "method": method,
-        "M": data.n_features,
+        "M": m,
         "n_labeled": n_labeled,
         "repeat": repeat,
         "auc": auc,
-        "detect_seconds": seconds,
+        "detect_seconds": detect_seconds,
         "train_seconds": train_seconds,
     }
 
 
-def _repen_row(result: PipelineResult, params: HyperParams, repeat: int,
-               n_labeled: int = 0) -> dict:
+def _repen_row(result: PipelineResult, repeat: int, n_labeled: int = 0) -> dict:
     """The learned-space row of one pipeline run."""
-    config = params.detector(stage_seeds(params.rng_seed)[2])
-    return _row("repen_sp", result.embedded, config, repeat, result.auc_embedded,
-                n_labeled, result.offline_seconds)
+    return _row("repen_sp", result.embedded.n_features, repeat, result.auc_embedded,
+                result.stage_seconds["score_embedded"], n_labeled, result.offline_seconds)
 
 
 def run_comparison(
@@ -74,11 +71,10 @@ def run_comparison(
     _require_both_classes(dataset, "comparison")
     rows: list[dict] = []
     for rep in range(repeats):
-        p = replace(params, rng_seed=params.rng_seed + rep)
-        result = run_pipeline(dataset, p)
-        config = p.detector(stage_seeds(p.rng_seed)[0])
-        rows.append(_row("original_sp", dataset, config, rep, result.auc_original))
-        rows.append(_repen_row(result, p, rep))
+        result = run_pipeline(dataset, replace(params, rng_seed=params.rng_seed + rep))
+        rows.append(_row("original_sp", dataset.n_features, rep, result.auc_original,
+                         result.stage_seconds["score_original"]))
+        rows.append(_repen_row(result, rep))
     summary = summarize_rows(rows)
     return rows, summary
 
@@ -136,7 +132,7 @@ def run_labeled_curve(
                     pool, size=l, replace=False
                 )
                 ds = Dataset(dataset.values, dataset.labels, known_outliers=draw)
-            rows.append(_repen_row(run_pipeline(ds, p, original), p, rep, l))
+            rows.append(_repen_row(run_pipeline(ds, p, original), rep, l))
     return rows
 
 
@@ -157,8 +153,7 @@ def run_dim_sensitivity(
         p = replace(params, rng_seed=params.rng_seed + rep)
         original = original_stage(dataset, p)
         for m in m_values or DEFAULT_M_GRID:
-            pm = replace(p, rep_dim=m)
-            rows.append(_repen_row(run_pipeline(dataset, pm, original), pm, rep))
+            rows.append(_repen_row(run_pipeline(dataset, replace(p, rep_dim=m), original), rep))
     return rows
 
 

@@ -146,7 +146,8 @@ def load_csv(path, label_column: Optional[str] = None) -> Dataset:
     """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        rows = [row for row in reader if row]
+        # (line number, cells) of each non-empty row, for error messages.
+        rows = [(reader.line_num, row) for row in reader if row]
     if not rows:
         raise ValueError("no records")
 
@@ -158,8 +159,8 @@ def load_csv(path, label_column: Optional[str] = None) -> Dataset:
             return False
 
     header: Optional[list[str]] = None
-    if not all(_numeric(c) for c in rows[0]):
-        header = [c.strip() for c in rows[0]]
+    if not all(_numeric(c) for c in rows[0][1]):
+        header = [c.strip() for c in rows[0][1]]
         rows = rows[1:]
         if not rows:
             raise ValueError("no records")
@@ -169,20 +170,16 @@ def load_csv(path, label_column: Optional[str] = None) -> Dataset:
             raise ValueError(f"label column {label_column!r} not found in header")
         label_pos = header.index(label_column)
 
-    width = len(rows[0]) if header is None else len(header)
+    width = len(rows[0][1]) if header is None else len(header)
     values = np.empty((len(rows), width), dtype=np.float64)
-    for i, row in enumerate(rows):
+    for i, (lineno, row) in enumerate(rows):
         if len(row) != width:
-            raise ValueError(
-                f"line {i + (2 if header else 1)}: expected {width} cells, got {len(row)}"
-            )
+            raise ValueError(f"line {lineno}: expected {width} cells, got {len(row)}")
         for j, cell in enumerate(row):
             try:
                 values[i, j] = float(cell)
             except ValueError:
-                raise ValueError(
-                    f"line {i + (2 if header else 1)}: non-numeric cell {cell!r}"
-                ) from None
+                raise ValueError(f"line {lineno}: non-numeric cell {cell!r}") from None
     labels = None
     if label_pos is not None:
         labels = values[:, label_pos] != 0

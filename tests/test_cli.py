@@ -21,8 +21,8 @@ from repen.cli import (
     parse_config_file,
     resolve_settings,
 )
-from repen.data import RepresentationModel
-from repen.ingest import load_csv, load_libsvm
+from repen.data import Dataset, RepresentationModel
+from repen.ingest import load_csv, load_libsvm, synth_gaussian_with_outliers, write_libsvm
 from repen.learner import save_model
 from repen.params import ExperimentParams, HyperParams
 
@@ -272,6 +272,34 @@ class TestScoreCommand:
         lines = scores_out.read_text().splitlines()
         assert lines[0] == "index,score"
         assert len(lines) == 87
+
+    def test_libsvm_read_at_the_model_width(self, tmp_path, capsys):
+        """A libsvm file whose rows lack the model's last feature still scores."""
+        ds = synth_gaussian_with_outliers(80, 6, 5, 45, 6.0, seed=42)
+        values = ds.values.copy()
+        values[1:, -1] = 0.0
+        full, tail = tmp_path / "full.libsvm", tmp_path / "tail.libsvm"
+        write_libsvm(Dataset(values, ds.labels), full)
+        write_libsvm(Dataset(values[1:], ds.labels[1:]), tail)
+        out_dir = tmp_path / "run"
+        assert main([
+            "pipeline", "--input", str(full), "--output-dir", str(out_dir),
+            "--rep-dim", "6", "--n-epochs", "1", "--samples-per-epoch", "128",
+            "--batch-size", "64",
+        ]) == 0
+        model = str(out_dir / "model.repen")
+        scores_out = tmp_path / "tail_scores.csv"
+        assert main(["score", "--model", model, "--input", str(tail),
+                     "--output", str(scores_out)]) == 0
+        assert len(scores_out.read_text().splitlines()) == 86
+        wide = tmp_path / "wide.libsvm"
+        wide.write_text("1 51:1.0\n")
+        capsys.readouterr()
+        assert main(["score", "--model", model, "--input", str(wide),
+                     "--output", str(tmp_path / "wide_scores.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "51" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_model_shorter_than_header_is_a_clean_error(self, tmp_path, capsys):
         data = _write_synth(tmp_path, "csv")

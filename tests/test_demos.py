@@ -12,7 +12,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_demos_found():
-    assert len(DEMOS) == 6
+    assert len(DEMOS) == 5
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[path.stem for path in DEMOS])

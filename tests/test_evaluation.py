@@ -5,6 +5,7 @@ import pytest
 
 import repen.experiments
 import repen.pipeline
+import repen.sp
 from repen.data import Dataset, HyperParams
 from repen.evaluation import (
     RESULT_HEADER,
@@ -141,6 +142,58 @@ class TestPipelineStages:
         for row, (cell, params) in zip(rows, cells):
             assert row["auc"] == run_pipeline(cell, params).auc_embedded
             assert row["M"] == params.rep_dim
+
+
+class TestThinLoop:
+    """Protocols score each space once per run and report that run's seconds."""
+
+    @staticmethod
+    def _count_scores_and_capture_runs(monkeypatch):
+        calls, results = [], []
+        real_score = repen.sp.sp_score
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real_score(*args, **kwargs)
+
+        def capturing(*args, **kwargs):
+            results.append(run_pipeline(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(repen.sp, "sp_score", counting)
+        monkeypatch.setattr(repen.experiments, "run_pipeline", capturing)
+        return calls, results
+
+    def test_comparison_rows_read_their_run(self, monkeypatch):
+        calls, results = self._count_scores_and_capture_runs(monkeypatch)
+        rows, summary = run_comparison(_small_dataset(), _fast_params(), repeats=1)
+        assert len(calls) == 2
+        (result,) = results
+        assert [row["detect_seconds"] for row in rows] == [
+            result.stage_seconds["score_original"], result.stage_seconds["score_embedded"]
+        ]
+        assert [s["mean_detect_seconds"] for s in summary] == [
+            row["detect_seconds"] for row in rows
+        ]
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda ds, p: run_labeled_curve(ds, p, l_values=[0, 3], repeats=1),
+            lambda ds, p: run_dim_sensitivity(ds, p, m_values=(2, 4), repeats=1),
+        ],
+        ids=["labeled_curve", "dim_sensitivity"],
+    )
+    def test_shared_stage_rows_read_their_run(self, monkeypatch, run):
+        calls, results = self._count_scores_and_capture_runs(monkeypatch)
+        rows = run(_small_dataset(), _fast_params())
+        assert len(calls) == 3
+        assert [row["detect_seconds"] for row in rows] == [
+            result.stage_seconds["score_embedded"] for result in results
+        ]
+        assert [row["train_seconds"] for row in rows] == [
+            result.offline_seconds for result in results
+        ]
 
 
 @pytest.mark.parametrize(

@@ -110,6 +110,18 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="non-numeric"):
             load_csv(path)
 
+    def test_non_numeric_cell_line_counts_blank_lines(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("1,2\n\n3,oops\n")
+        with pytest.raises(ValueError, match=r"^line 3: non-numeric cell 'oops'$"):
+            load_csv(path)
+
+    def test_ragged_row_line_counts_blank_lines(self, tmp_path):
+        path = tmp_path / "g.csv"
+        path.write_text("a,b\n\n1,2\n3\n")
+        with pytest.raises(ValueError, match=r"^line 4: expected 2 cells, got 1$"):
+            load_csv(path)
+
     def test_missing_label_column_rejected(self, tmp_path):
         path = tmp_path / "e.csv"
         path.write_text("f1,f2\n1,2\n")
