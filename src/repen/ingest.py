@@ -11,6 +11,7 @@ Supported file formats:
 from __future__ import annotations
 
 import csv
+import warnings
 from typing import Optional
 
 import numpy as np
@@ -133,44 +134,8 @@ def write_libsvm(dataset: Dataset, path) -> None:
             handle.write(f"{label} {pairs}".rstrip() + "\n")
 
 
-def load_csv(path, label_column: Optional[str] = None) -> Dataset:
-    """Load a dense dataset from a rectangular numeric CSV file.
-
-    A header row is detected when the first row contains any non-numeric
-    cell. When ``label_column`` names a header column, that column is
-    stripped into boolean labels (nonzero = outlier).
-
-    Raises:
-        ValueError: on ragged rows, non-numeric data cells, an empty file,
-            or a missing label column.
-    """
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        # (line number, cells) of each non-empty row, for error messages.
-        rows = [(reader.line_num, row) for row in reader if row]
-    if not rows:
-        raise ValueError("no records")
-
-    def _numeric(cell: str) -> bool:
-        try:
-            float(cell)
-            return True
-        except ValueError:
-            return False
-
-    header: Optional[list[str]] = None
-    if not all(_numeric(c) for c in rows[0][1]):
-        header = [c.strip() for c in rows[0][1]]
-        rows = rows[1:]
-        if not rows:
-            raise ValueError("no records")
-    label_pos = None
-    if label_column is not None:
-        if header is None or label_column not in header:
-            raise ValueError(f"label column {label_column!r} not found in header")
-        label_pos = header.index(label_column)
-
-    width = len(rows[0][1]) if header is None else len(header)
+def _parse_rows(rows: list, width: int) -> np.ndarray:
+    """Parse ``(line number, cells)`` rows one cell at a time with ``float()``."""
     values = np.empty((len(rows), width), dtype=np.float64)
     for i, (lineno, row) in enumerate(rows):
         if len(row) != width:
@@ -180,6 +145,70 @@ def load_csv(path, label_column: Optional[str] = None) -> Dataset:
                 values[i, j] = float(cell)
             except ValueError:
                 raise ValueError(f"line {lineno}: non-numeric cell {cell!r}") from None
+    return values
+
+
+def load_csv(path, label_column: Optional[str] = None) -> Dataset:
+    """Load a dense dataset from a rectangular numeric CSV file.
+
+    A header row is detected when the first non-empty row contains any
+    non-numeric cell. When ``label_column`` names a header column, that
+    column is stripped into boolean labels (nonzero = outlier).
+
+    The header is read with the ``csv`` module. The data rows are parsed by
+    numpy's C reader, which converts each cell with the same correctly
+    rounded routine as ``float()``. Files that reader refuses fall back to
+    a per-cell ``float()`` loop over the ``csv`` rows. Such files include
+    quoted cells, ``1_0``-style digits and any malformed file. So every
+    accepted file loads to the same values, and every rejected one raises
+    the same message, whichever path parses it.
+
+    Raises:
+        ValueError: on ragged rows, non-numeric data cells, an empty file,
+            or a missing label column; messages name the 1-based line.
+    """
+
+    def _numeric(cell: str) -> bool:
+        try:
+            float(cell)
+            return True
+        except ValueError:
+            return False
+
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        # (line number, cells) of each non-empty row, for error messages.
+        rows = ((reader.line_num, row) for row in reader if row)
+        first = next(rows, None)
+        if first is None:
+            raise ValueError("no records")
+        header: Optional[list[str]] = None
+        skiprows = 0  # np.loadtxt skips empty lines by itself
+        if not all(_numeric(c) for c in first[1]):
+            header = [c.strip() for c in first[1]]
+            skiprows = first[0]
+            first = next(rows, None)
+            if first is None:
+                raise ValueError("no records")
+        label_pos = None
+        if label_column is not None:
+            if header is None or label_column not in header:
+                raise ValueError(f"label column {label_column!r} not found in header")
+            label_pos = header.index(label_column)
+
+        width = len(first[1]) if header is None else len(header)
+        try:
+            with warnings.catch_warnings():
+                # "input contained no data" becomes a refusal.
+                warnings.simplefilter("error")
+                values = np.loadtxt(
+                    path, delimiter=",", skiprows=skiprows, comments=None,
+                    ndmin=2, dtype=np.float64, encoding="utf-8",
+                )
+        except (ValueError, UserWarning):
+            values = None
+        if values is None or values.shape[0] == 0 or values.shape[1] != width:
+            values = _parse_rows([first, *rows], width)
     labels = None
     if label_pos is not None:
         labels = values[:, label_pos] != 0
@@ -195,8 +224,9 @@ def write_csv(dataset: Dataset, path) -> None:
         names.append("label")
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(names) + "\n")
-        for i in range(dataset.n_objects):
-            cells = [_fmt(v) for v in values[i]]
+        # Row by row, so only one row of Python floats exists at a time.
+        for i, row in enumerate(values):
+            cells = list(map(repr, row.tolist()))
             if dataset.labels is not None:
                 cells.append("1" if dataset.labels[i] else "0")
             handle.write(",".join(cells) + "\n")

@@ -301,6 +301,17 @@ class TestScoreCommand:
         assert err.startswith("error:") and "51" in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_libsvm_index_beyond_the_model_names_the_model(self, tmp_path, capsys):
+        model = tmp_path / "model.repen"
+        save_model(RepresentationModel(np.ones((200, 4))), model)
+        data = tmp_path / "wide.libsvm"
+        data.write_text("1 3:1.0 201:0.5\n-1 7:2.0\n")
+        rc = main(["score", "--model", str(model), "--input", str(data),
+                   "--output", str(tmp_path / "s.csv")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == "error: feature index 201 exceeds the model's 200 features\n"
+
     def test_model_shorter_than_header_is_a_clean_error(self, tmp_path, capsys):
         data = _write_synth(tmp_path, "csv")
         model = tmp_path / "model.repen"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repen import ingest
 from repen.data import Dataset
 from repen.ingest import (
     downsample_to_rate,
@@ -134,6 +135,81 @@ class TestLoadCsv:
         write_csv(ds, path)
         back = load_csv(path, label_column="label")
         assert datasets_equal(ds, back)
+
+
+# Files on which numpy's reader and the per-cell loop must agree: each is
+# loaded with no label column and with "y", normally and with np.loadtxt
+# refusing, so the loop parses it.
+DIFFERENTIAL_CASES = {
+    "whitespace_only_line": "a,y\n1,2\n   \n3,4\n",
+    "trailing_comma": "a,y\n1,2,\n3,4,\n",
+    "quoted_cell": 'a,y\n"1",2\n3,4\n',
+    "hash_in_cell": "a,y\n1,2#3\n",
+    "underscore_digits": "a,y\n1_0,2\n",
+    "nan_inf_infinity": "a,b,y\nnan,inf,Infinity\n-nan,-inf,-Infinity\n",
+    "crlf": "a,y\r\n1,2\r\n3,4\r\n",
+    "cr_only": "a,y\r1,2\r3,4\r",
+    "no_final_newline": "a,y\n1,2\n3,4",
+    "blank_lines_before_header": "\n\n\na,y\n\n1,2\n3,4\n",
+    "header_only": "a,y\n",
+    "single_row": "a,y\n1.5,0\n",
+    "single_column": "y\n1\n0\n2\n",
+    "ragged_row": "a,y\n1,2\n3\n",
+    "rows_wider_than_header": "a,y\n1,2,3\n4,5,6\n",
+    "hex_float": "a,y\n0x1p3,1\n",
+    "bom": "\ufeffa,y\n1,2\n",
+    "overflow_1e400": "a,y\n1e400,-1e400\n",
+    "label_column_in_the_middle": "a,y,b\n1,0,3\n4,5,6\n",
+    "no_header": "\n0.1,2\n\n3,4e-320\n",
+}
+
+
+def _outcome(path, label_column):
+    """Values (bitwise) and labels of a load, or its exception type and message."""
+    try:
+        ds = load_csv(path, label_column=label_column)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    labels = None if ds.labels is None else ds.labels.tolist()
+    return ds.values.shape, ds.values.view(np.int64).tolist(), labels
+
+
+class TestCsvReaderPaths:
+    @pytest.mark.parametrize("label_column", [None, "y"])
+    @pytest.mark.parametrize(
+        "text", DIFFERENTIAL_CASES.values(), ids=DIFFERENTIAL_CASES.keys()
+    )
+    def test_numpy_reader_matches_the_loop(self, tmp_path, monkeypatch, text, label_column):
+        path = tmp_path / "x.csv"
+        path.write_bytes(text.encode("utf-8"))
+        fast = _outcome(path, label_column)
+
+        def refuse(*args, **kwargs):
+            raise ValueError("refused")
+
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        assert _outcome(path, label_column) == fast
+
+    def test_well_formed_file_skips_the_loop(self, tmp_path, monkeypatch):
+        def unused(*args, **kwargs):
+            raise AssertionError("the per-cell loop ran")
+
+        monkeypatch.setattr(ingest, "_parse_rows", unused)
+        path = tmp_path / "ok.csv"
+        path.write_text("\n\nf1,f2,y\n0.5,1.5,1\n\n2.5,-3e-5,0\n")
+        ds = load_csv(path, label_column="y")
+        assert ds.values.tolist() == [[0.5, 1.5], [2.5, -3e-5]]
+        assert ds.labels.tolist() == [True, False]
+
+    def test_missing_label_column_reported_before_parsing(self, tmp_path, monkeypatch):
+        def unused(*args, **kwargs):
+            raise AssertionError("np.loadtxt ran")
+
+        monkeypatch.setattr(np, "loadtxt", unused)
+        path = tmp_path / "e.csv"
+        path.write_text("f1,f2\n1,2\n")
+        with pytest.raises(ValueError, match="^label column 'y' not found in header$"):
+            load_csv(path, label_column="y")
 
 
 class TestSynthGenerator:
