@@ -102,17 +102,9 @@ def _validated(cls, settings: dict):
     return params
 
 
-def _load_dataset(settings: dict, model_features: int | None = None):
-    """Read, validate and optionally min-max scale the input file.
-
-    A libsvm file is only as wide as its largest index. Given the width of
-    the model that will score it, it is widened to that width, and an index
-    beyond it is an error.
-    """
-    import scipy.sparse as sps
-
+def _load_dataset(settings: dict, n_features_hint: int | None = None):
     from . import ingest
-    from .data import Dataset, require_valid
+    from .data import require_valid
 
     path = settings["input"]
     if not path:
@@ -125,19 +117,7 @@ def _load_dataset(settings: dict, model_features: int | None = None):
     if fmt == "csv":
         dataset = ingest.load_csv(path, label_column=settings.get("label_column") or None)
     elif fmt == "libsvm":
-        dataset = ingest.load_libsvm(path)
-        if model_features is not None and dataset.n_features != model_features:
-            if dataset.n_features > model_features:
-                raise ValueError(
-                    f"feature index {dataset.n_features} exceeds the model's "
-                    f"{model_features} features"
-                )
-            csr = dataset.values
-            shape = (dataset.n_objects, model_features)
-            dataset = Dataset(
-                sps.csr_matrix((csr.data, csr.indices, csr.indptr), shape=shape),
-                dataset.labels,
-            )
+        dataset = ingest.load_libsvm(path, n_features_hint)
     else:
         raise ValueError(f"unknown format {fmt!r}")
     require_valid(dataset)
@@ -249,6 +229,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     config = SpConfig(args.subsample_size, args.ensemble_size, args.seed)
     config.validate()
     model = learner.load_model(args.model)
+    # A libsvm file is only as wide as its largest index; read it at the model's.
     dataset = _load_dataset(settings, model.n_features)
     scores = sp.sp_score_embedded(dataset, model, config)
     out = Path(args.output)

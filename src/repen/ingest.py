@@ -40,8 +40,9 @@ def load_libsvm(
 
     Args:
         path: file to read.
-        n_features_hint: lower bound on the feature count; an index at or
-            beyond the hint is an error.
+        n_features_hint: lower bound on the feature count, the width of the
+            model that will read the data; an index at or beyond it is an
+            error.
         zero_based: treat on-disk indices as already 0-based.
 
     Raises:
@@ -85,7 +86,7 @@ def load_libsvm(
             if n_features_hint is not None and idx.size and idx.max() >= n_features_hint:
                 raise ValueError(
                     f"line {lineno}: feature index {idx.max() + offset} exceeds "
-                    f"n_features_hint {n_features_hint}"
+                    f"the model's {n_features_hint} features"
                 )
             order = np.argsort(idx, kind="stable")
             idx, val = idx[order], val[order]
@@ -200,7 +201,7 @@ def load_csv(path, label_column: Optional[str] = None) -> Dataset:
         try:
             with warnings.catch_warnings():
                 # "input contained no data" becomes a refusal.
-                warnings.simplefilter("error")
+                warnings.simplefilter("error", UserWarning)
                 values = np.loadtxt(
                     path, delimiter=",", skiprows=skiprows, comments=None,
                     ndmin=2, dtype=np.float64, encoding="utf-8",

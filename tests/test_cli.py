@@ -310,7 +310,7 @@ class TestScoreCommand:
                    "--output", str(tmp_path / "s.csv")])
         err = capsys.readouterr().err
         assert rc == 1
-        assert err == "error: feature index 201 exceeds the model's 200 features\n"
+        assert err == "error: line 1: feature index 201 exceeds the model's 200 features\n"
 
     def test_model_shorter_than_header_is_a_clean_error(self, tmp_path, capsys):
         data = _write_synth(tmp_path, "csv")
