@@ -165,8 +165,9 @@ def load_csv(path, label_column: Optional[str] = None) -> Dataset:
     the same message, whichever path parses it.
 
     Raises:
-        ValueError: on ragged rows, non-numeric data cells, an empty file,
-            or a missing label column; messages name the 1-based line.
+        ValueError: on ragged rows, non-numeric data cells, a cell the
+            ``csv`` module refuses, an empty file, or a missing label
+            column; messages name the 1-based line.
     """
 
     def _numeric(cell: str) -> bool:
@@ -176,10 +177,18 @@ def load_csv(path, label_column: Optional[str] = None) -> Dataset:
         except ValueError:
             return False
 
+    def _records(reader):
+        # (line number, cells) of each non-empty row, for error messages.
+        try:
+            for row in reader:
+                if row:
+                    yield reader.line_num, row
+        except csv.Error as exc:  # e.g. a cell over the csv module's field limit
+            raise ValueError(f"line {reader.line_num}: {exc}") from None
+
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        # (line number, cells) of each non-empty row, for error messages.
-        rows = ((reader.line_num, row) for row in reader if row)
+        rows = _records(reader)
         first = next(rows, None)
         if first is None:
             raise ValueError("no records")

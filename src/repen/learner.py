@@ -20,13 +20,11 @@ Batches average per-triplet gradients over all b triplets (zero-loss
 triplets included). A batch whose triplets all meet the margin has an
 exactly zero gradient, and a zero-gradient ADADELTA step leaves the
 weights alone and only decays the accumulators by ``rho``, so training
-skips it and applies the decay when the accumulators are next used; every
-other batch takes one ADADELTA step. On CSR input a step reads and writes
-only the weight and accumulator rows of the columns the batch's rows
-touch: an untouched row has a zero gradient, so its accumulators only
-decay, by ``rho ** k`` when the row is next touched (lazy updates in the
-manner of Carpenter 2008). Dense input touches every column and decays by
-k successive products, the arithmetic of the plain full-matrix update.
+skips it and applies the k skipped decays as k successive products when
+the accumulators are next used; every other batch takes one full-matrix
+ADADELTA step. CSR input trains on its occupied columns only: a column
+with no nonzero in any row has a zero gradient at every step, so its
+weight row keeps its initial value and needs no optimizer state.
 
 Model persistence format (stable): little-endian binary, magic ``RPNM``,
 uint32 version (currently 1), uint64 D, uint64 M, then D*M float64 weights
@@ -100,25 +98,19 @@ def _batch_loss_grad(
     *,
     cache: PreActivationCache | None = None,
 ):
-    """Losses (b,), touched columns and their batch-mean weight gradient.
+    """Losses (b,) and the batch-mean (D, M) weight gradient.
 
     ``queries`` has shape (b, n); positives/negatives have shape (b,).
-    Returns ``(losses, cols, grad)``: ``grad`` holds the gradient rows of
-    the weight rows ``cols``, and every other row's gradient is zero. For
-    CSR input ``cols`` is the sorted distinct column indices of the
-    batch's rows and ``grad`` has shape (len(cols), M); for dense input
-    ``cols`` is ``slice(None)`` and ``grad`` is the full (D, M) gradient.
-    When no triplet has a positive loss the gradient is exactly zero:
-    ``cols`` is an empty int64 array and ``grad`` has shape (0, M).
-    ``cols`` and ``grad`` are None when ``want_grad`` is false.
+    Returns ``(losses, grad)``. ``grad`` is None when ``want_grad`` is
+    false, and also when no triplet has a positive loss, since the
+    gradient is then exactly zero.
 
     With a ``cache`` holding some of the batch's rows, only the others are
-    computed (and stored), and an inactive batch costs no more. On CSR
-    input the results are the same as without the cache. On dense input a
-    batch with a positive loss is computed again as without the cache,
-    because BLAS may round a row of a product differently depending on the
-    other rows in it; only a triplet within rounding of the margin could
-    then be judged inactive when it is not.
+    computed (and stored), and an inactive batch costs no more. A batch
+    with a positive loss is computed again from its own rows' product, as
+    without the cache, because BLAS may round a row of a product
+    differently depending on the other rows in it; only a triplet within
+    rounding of the margin could then be judged inactive when it is not.
     """
     b, n = queries.shape
     rows = np.unique(np.concatenate([queries.ravel(), positives, negatives]))
@@ -144,7 +136,7 @@ def _batch_loss_grad(
         losses = np.where(valid, np.maximum(0.0, margin + d_pos - d_neg), 0.0)
         return emb, sel_pos, sel_neg, losses
 
-    block = pre = None
+    pre = None
     if cache is not None and cache.fresh[rows].any():
         stale = rows[~cache.fresh[rows]]
         if stale.size:
@@ -152,9 +144,9 @@ def _batch_loss_grad(
             cache.fresh[stale] = True
         pre = cache.pre[rows]
         emb, sel_pos, sel_neg, losses = hinge(pre)
-        # Dense rows from other batches' products only show that every
-        # triplet meets the margin (see the docstring).
-        if not sp.issparse(values) and np.any(losses > 0.0):
+        # Rows from other batches' products only show that every triplet
+        # meets the margin (see the docstring).
+        if np.any(losses > 0.0):
             pre = None
     if pre is None:
         block = values[rows]
@@ -163,14 +155,11 @@ def _batch_loss_grad(
             cache.pre[rows] = pre
             cache.fresh[rows] = True
         emb, sel_pos, sel_neg, losses = hinge(pre)
-    active_mask = pre > 0.0
-
-    if not want_grad:
-        return losses, None, None
 
     active = losses > 0.0
-    if not active.any():
-        return losses, np.empty(0, dtype=np.int64), np.zeros((0, weights.shape[1]))
+    if not want_grad or not active.any():
+        return losses, None
+    active_mask = pre > 0.0
     qp = loc_q[arange, sel_pos]
     qn = loc_q[arange, sel_neg]
     u = (emb[loc_p] - emb[qp]) * (2.0 * active)[:, None]
@@ -182,16 +171,8 @@ def _batch_loss_grad(
     np.add.at(coeff, loc_n, -v * active_mask[loc_n])
     np.add.at(coeff, qn, v * active_mask[qn])
 
-    if block is None:
-        block = values[rows]
-    if sp.issparse(block):
-        cols, local = np.unique(block.indices, return_inverse=True)
-        block = sp.csr_matrix((block.data, local, block.indptr), shape=(rows.size, cols.size))
-    else:
-        cols = slice(None)
-    grad = block.T @ coeff
-    grad = np.asarray(grad) / b
-    return losses, cols, grad
+    grad = np.asarray(block.T @ coeff) / b
+    return losses, grad
 
 
 def _triplet_arrays(triplet: Triplet):
@@ -210,7 +191,7 @@ def triplet_loss(model: RepresentationModel, data, triplet: Triplet, margin: flo
     if margin <= 0:
         raise ValueError(f"margin > 0 required, got {margin}")
     q, p, g = _triplet_arrays(triplet)
-    losses, _, _ = _batch_loss_grad(
+    losses, _ = _batch_loss_grad(
         _values_of(data), model.weights, q, p, g, margin, want_grad=False
     )
     return float(losses[0])
@@ -223,10 +204,8 @@ def loss_gradient(
     if margin <= 0:
         raise ValueError(f"margin > 0 required, got {margin}")
     q, p, g = _triplet_arrays(triplet)
-    _, cols, grad = _batch_loss_grad(_values_of(data), model.weights, q, p, g, margin)
-    full = np.zeros_like(model.weights)
-    full[cols] = grad
-    return full
+    _, grad = _batch_loss_grad(_values_of(data), model.weights, q, p, g, margin)
+    return np.zeros_like(model.weights) if grad is None else grad
 
 
 @dataclass
@@ -253,8 +232,8 @@ def adadelta_step(
     accum_u <- rho * accum_u + (1 - rho) * step^2
 
     The update is elementwise, so it applies as well to any block of rows
-    (with the matching rows of the state); ``train`` passes it only the
-    rows a batch touches.
+    (with the matching rows of the state); on CSR input ``train`` passes
+    it the rows of the occupied columns.
     """
     if gradient.shape != weights.shape or state.accum_grad_sq.shape != weights.shape:
         raise ValueError("weights, gradient, and optimizer state shapes must agree")
@@ -308,11 +287,11 @@ def train(
 
     A batch with no positive-loss triplet takes no step (see the module
     docs); pre-activations come from a ``PreActivationCache`` that every
-    update invalidates. On CSR input an update decays the touched
-    accumulator rows by ``rho ** k`` for the k steps they sat out, which
-    rounds differently from k successive products and moves sparse
-    weights by about 1e-16 relative; dense input decays by k successive
-    products, so its weights are bit-identical to the full update's.
+    update invalidates. On CSR input the weights, the optimizer state and
+    every product cover only the occupied columns, renumbered in order so
+    each row keeps its column order; the trained rows are written back
+    into the full (D, M) initial draw. The weights are bit-identical to
+    those of the plain (D, M) update on every row.
 
     The dataset's ``known_outliers`` (if any) serve as the labeled pool.
     """
@@ -327,10 +306,15 @@ def train(
     root = np.random.SeedSequence(params.rng_seed)
     init_ss, batch_ss, eval_ss = root.spawn(3)
     weights = initial_weights(d, m, np.random.default_rng(init_ss))
-    state = OptimizerState.zeros(d, m, params.optimizer_decay, params.optimizer_eps)
-    last_step = np.zeros(d, dtype=np.int64)
-
     values = dataset.values
+    occupied = slice(None)
+    if sp.issparse(values):
+        occupied, local = np.unique(values.indices, return_inverse=True)
+        values = sp.csr_matrix(
+            (values.data, local, values.indptr), shape=(values.shape[0], occupied.size)
+        )
+    trained = weights[occupied]
+    state = OptimizerState.zeros(len(trained), m, params.optimizer_decay, params.optimizer_eps)
     cache = PreActivationCache.empty(values.shape[0], m)
     n_batches = math.ceil(params.samples_per_epoch / params.batch_size)
 
@@ -348,8 +332,8 @@ def train(
 
     def _eval_losses() -> np.ndarray:
         q, p, g = _sample(np.random.default_rng(eval_ss))
-        losses, _, _ = _batch_loss_grad(
-            values, weights, q, p, g, params.margin, want_grad=False, cache=cache
+        losses, _ = _batch_loss_grad(
+            values, trained, q, p, g, params.margin, want_grad=False, cache=cache
         )
         return losses
 
@@ -363,31 +347,16 @@ def train(
         for j in range(n_batches):
             q, p, g = _sample(np.random.default_rng(streams[k]))
             k += 1
-            losses, cols, grad = _batch_loss_grad(
-                values, weights, q, p, g, params.margin, cache=cache
+            losses, grad = _batch_loss_grad(
+                values, trained, q, p, g, params.margin, cache=cache
             )
             epoch_losses[j] = losses.mean()
-            if grad.shape[0] == 0:  # every triplet met the margin
+            if grad is None:  # every triplet met the margin
                 continue
-            if isinstance(cols, slice):
-                for _ in range(k - 1 - report.last_update_step):
-                    state.accum_grad_sq *= state.decay
-                    state.accum_update_sq *= state.decay
-                weights, state = adadelta_step(state, weights, grad)
-            else:
-                decay = state.decay ** (k - 1 - last_step[cols])[:, None]
-                touched = OptimizerState(
-                    np.take(state.accum_grad_sq, cols, axis=0) * decay,
-                    np.take(state.accum_update_sq, cols, axis=0) * decay,
-                    state.decay,
-                    state.eps,
-                )
-                weights[cols], touched = adadelta_step(
-                    touched, np.take(weights, cols, axis=0), grad
-                )
-                state.accum_grad_sq[cols] = touched.accum_grad_sq
-                state.accum_update_sq[cols] = touched.accum_update_sq
-                last_step[cols] = k
+            for _ in range(k - 1 - report.last_update_step):
+                state.accum_grad_sq *= state.decay
+                state.accum_update_sq *= state.decay
+            trained, state = adadelta_step(state, trained, grad)
             cache.fresh[:] = False
             report.update_steps += 1
             report.last_update_step = k
@@ -398,6 +367,7 @@ def train(
     report.final_mean_loss = (
         report.epoch_mean_loss[-1] if report.epoch_mean_loss else float(final_losses.mean())
     )
+    weights[occupied] = trained
     return RepresentationModel(weights), report
 
 

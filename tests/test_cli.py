@@ -433,6 +433,24 @@ class TestDownsampleCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    # 131,073 characters is one over the csv module's default field limit.
+    @pytest.mark.parametrize(
+        "lines, line",
+        [(["x" * 131_073 + ",label", "1.0,0"], 1),
+         (["f0,label", "1.0,0", '"' + "1" * 131_073 + '",1'], 3)],
+        ids=["header-cell", "quoted-data-cell"],
+    )
+    def test_cell_over_the_csv_field_limit_is_a_clean_error(self, tmp_path, capsys, lines, line):
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "down.csv"
+        rc = main(["downsample", "--input", str(data), "--output", str(out),
+                   "--label-column", "label"])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 1
+        assert len(err) == 1 and err[0].startswith(f"error: line {line}: field larger")
+        assert not out.exists()
+
 
 class TestExperimentCommand:
     def test_comparison_kind(self, tmp_path):

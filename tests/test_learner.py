@@ -347,10 +347,10 @@ def _reference_train(ds, sets, scores, params):
             np.random.default_rng(stream),
             labeled=ds.known_outliers, labeled_fraction=params.labeled_fraction,
         )
-        _, cols, grad = _batch_loss_grad(ds.values, weights, q, p, g, params.margin)
-        full = np.zeros_like(weights)
-        full[cols] = grad
-        weights, state = adadelta_step(state, weights, full)
+        _, grad = _batch_loss_grad(ds.values, weights, q, p, g, params.margin)
+        if grad is None:
+            grad = np.zeros_like(weights)
+        weights, state = adadelta_step(state, weights, grad)
     return weights
 
 
@@ -362,7 +362,7 @@ class TestTouchedRowUpdate:
         ds, sets, scores = _sparse_training_inputs()
         model, _ = train(ds, sets, scores, self.PARAMS)
         reference = _reference_train(ds, sets, scores, self.PARAMS)
-        np.testing.assert_allclose(model.weights, reference, rtol=1e-12, atol=0.0)
+        assert model.weights.tobytes() == reference.tobytes()
 
     def test_dense_train_is_bit_identical_to_full_update(self):
         ds, sets, scores = _training_inputs(n_in=60, n_out=5, d=30)
@@ -375,20 +375,17 @@ class TestTouchedRowUpdate:
         rng = np.random.default_rng(3)
         q, p, g = sample_batch_arrays(sets, scores, 2, 16, rng)
         weights = rng.standard_normal((ds.n_features, 4)) * 0.05
-        losses, cols, grad = _batch_loss_grad(ds.values, weights, q, p, g, 1000.0)
+        losses, grad = _batch_loss_grad(ds.values, weights, q, p, g, 1000.0)
         rows = np.unique(np.concatenate([q.ravel(), p, g]))
-        np.testing.assert_array_equal(cols, np.unique(ds.values[rows].indices))
-        assert grad.shape == (cols.size, 4)
+        cols = np.unique(ds.values[rows].indices)
+        assert grad.shape == weights.shape
         assert cols.size < ds.n_features
-        dense_losses, all_cols, full = _batch_loss_grad(
-            ds.values.toarray(), weights, q, p, g, 1000.0
-        )
-        assert all_cols == slice(None) and full.shape == weights.shape
+        dense_losses, dense = _batch_loss_grad(ds.values.toarray(), weights, q, p, g, 1000.0)
         np.testing.assert_allclose(losses, dense_losses, rtol=1e-12)
-        np.testing.assert_allclose(grad, full[cols], rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(grad, dense, rtol=1e-12, atol=1e-15)
         untouched = np.ones(ds.n_features, dtype=bool)
         untouched[cols] = False
-        assert np.all(full[untouched] == 0.0)
+        assert np.all(grad[untouched] == 0.0)
         assert np.any(grad != 0.0)
 
     def test_sparse_train_is_deterministic(self):
@@ -396,6 +393,45 @@ class TestTouchedRowUpdate:
         m1, _ = train(ds, sets, scores, self.PARAMS)
         m2, _ = train(ds, sets, scores, self.PARAMS)
         assert m1.weights.tobytes() == m2.weights.tobytes()
+
+    def test_unoccupied_columns_keep_their_initial_weights(self):
+        ds, sets, scores = _sparse_training_inputs()
+        model, _ = train(ds, sets, scores, self.PARAMS)
+        init_ss = np.random.SeedSequence(self.PARAMS.rng_seed).spawn(3)[0]
+        initial = initial_weights(ds.n_features, 4, np.random.default_rng(init_ss))
+        empty = np.ones(ds.n_features, dtype=bool)
+        empty[ds.values.indices] = False
+        assert 0 < empty.sum() < ds.n_features
+        assert model.weights.shape == (ds.n_features, 4)
+        assert model.weights[empty].tobytes() == initial[empty].tobytes()
+        assert not np.array_equal(model.weights[~empty], initial[~empty])
+
+    def test_all_empty_csr_trains(self):
+        n, d = 40, 30
+        labels = np.arange(n) >= n - 4
+        ds = Dataset(sps.csr_matrix((n, d)), labels)
+        sets = CandidateSets(np.flatnonzero(labels), np.flatnonzero(~labels))
+        scores = OutlierScores.from_scores(np.arange(1.0, n + 1.0))
+        params = HyperParams(rep_dim=1, n_epochs=1, samples_per_epoch=64, batch_size=32,
+                             rng_seed=7)
+        model, report = train(ds, sets, scores, params)
+        init_ss = np.random.SeedSequence(7).spawn(3)[0]
+        initial = initial_weights(d, 1, np.random.default_rng(init_ss))
+        assert model.weights.tobytes() == initial.tobytes()
+        assert report.update_steps == 2
+
+    def test_optimizer_state_covers_the_occupied_columns_only(self, monkeypatch):
+        ds, sets, scores = _sparse_training_inputs()
+        rows, zeros = [], OptimizerState.zeros.__func__
+
+        def spy(cls, d, *args, **kwargs):
+            rows.append(d)
+            return zeros(cls, d, *args, **kwargs)
+
+        monkeypatch.setattr(OptimizerState, "zeros", classmethod(spy))
+        train(ds, sets, scores, self.PARAMS)
+        assert rows == [np.unique(ds.values.indices).size]
+        assert rows[0] < ds.n_features
 
 
 class TestSkippedSteps:
@@ -456,7 +492,7 @@ class TestSkippedSteps:
         model, report = train(ds, sets, scores, params)
         assert report.update_steps < report.last_update_step
         reference = _reference_train(ds, sets, scores, params)
-        np.testing.assert_allclose(model.weights, reference, rtol=1e-12, atol=0.0)
+        assert model.weights.tobytes() == reference.tobytes()
 
     # With every negative drawn from the labeled pool, the outlier
     # candidates' weights are never used and nothing warns.
@@ -493,11 +529,9 @@ class TestBatchLossGradContract:
 
     @pytest.mark.parametrize("to_values", [np.asarray, sps.csr_matrix])
     def test_inactive_batch_returns_empty_gradient(self, to_values):
-        losses, cols, grad = _batch_loss_grad(to_values(self.VALUES), np.eye(2), *self.BATCH,
-                                              1000.0)
+        losses, grad = _batch_loss_grad(to_values(self.VALUES), np.eye(2), *self.BATCH, 1000.0)
         assert np.array_equal(losses, np.zeros(4))
-        assert cols.dtype == np.int64 and cols.shape == (0,)
-        assert grad.dtype == np.float64 and grad.shape == (0, 2)
+        assert grad is None
 
     @pytest.mark.parametrize("to_values", [np.asarray, sps.csr_matrix])
     def test_inactive_batch_with_fresh_cache_reads_no_rows(self, to_values):
@@ -506,8 +540,8 @@ class TestBatchLossGradContract:
                                  cache=cache)
         assert cache.fresh.all()
         again = _batch_loss_grad(_NoGather(), np.eye(2), *self.BATCH, 1000.0, cache=cache)
-        for x, y in zip(first, again):
-            assert x.tobytes() == y.tobytes()
+        assert first[0].tobytes() == again[0].tobytes()
+        assert first[1] is None and again[1] is None
 
     @pytest.mark.parametrize("to_values", [np.asarray, sps.csr_matrix])
     def test_loss_gradient_of_inactive_triplet_is_zero(self, to_values):
@@ -532,8 +566,7 @@ class TestBatchLossGradContract:
         cached = _batch_loss_grad(ds.values, weights, *batch, 1000.0, cache=cache)
         assert plain[0].tobytes() == cached[0].tobytes()
         assert np.any(plain[0] > 0.0)
-        assert np.array_equal(plain[1], cached[1])
-        assert plain[2].tobytes() == cached[2].tobytes()
+        assert plain[1].tobytes() == cached[1].tobytes()
 
 
 class TestTransform:
