@@ -24,7 +24,6 @@ _EXPORTS = {
     "downsample_to_rate": "ingest",
     "load_csv": "ingest",
     "load_libsvm": "ingest",
-    "minmax_scale": "ingest",
     "synth_gaussian_with_outliers": "ingest",
     "write_csv": "ingest",
     "write_libsvm": "ingest",

@@ -102,35 +102,34 @@ def _validated(cls, settings: dict):
     return params
 
 
-def _load_dataset(settings: dict, n_features_hint: int | None = None):
+def _load_dataset(path: str, fmt: str, label_column: str | None,
+                  n_features: int | None = None):
+    """Load and validate a data file; an empty ``fmt`` means ``auto``."""
     from . import ingest
     from .data import require_valid
 
-    path = settings["input"]
     if not path:
         raise ValueError("input path is required")
     if not os.path.exists(path):
         raise FileNotFoundError(f"input file not found: {path}")
-    fmt = settings.get("format") or "auto"
+    fmt = fmt or "auto"
     if fmt == "auto":
         fmt = "csv" if path.endswith(".csv") else "libsvm"
     if fmt == "csv":
-        dataset = ingest.load_csv(path, label_column=settings.get("label_column") or None)
+        dataset = ingest.load_csv(path, label_column=label_column or None)
     elif fmt == "libsvm":
-        dataset = ingest.load_libsvm(path, n_features_hint)
+        dataset = ingest.load_libsvm(path, n_features)
     else:
         raise ValueError(f"unknown format {fmt!r}")
     require_valid(dataset)
-    if settings.get("normalize"):
-        dataset = ingest.minmax_scale(dataset)
     return dataset
 
 
 def _write_scores_csv(path: Path, scores) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write("index,score\n")
-        for i, value in enumerate(scores.scores):
-            handle.write(f"{i},{float(value)!r}\n")
+        for i, value in enumerate(scores.scores.tolist()):
+            handle.write(f"{i},{value!r}\n")
 
 
 _PIPELINE_DEFAULTS = {
@@ -138,7 +137,6 @@ _PIPELINE_DEFAULTS = {
     "output_dir": "",
     "format": "auto",
     "label_column": "",
-    "normalize": False,
     **asdict(HyperParams()),
 }
 
@@ -151,7 +149,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     params = _validated(HyperParams, settings)
     out_dir = Path(settings["output_dir"] or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    dataset = _load_dataset(settings)
+    dataset = _load_dataset(settings["input"], settings["format"], settings["label_column"])
 
     result = run_pipeline(dataset, params)
 
@@ -197,14 +195,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_downsample(args: argparse.Namespace) -> int:
     from . import ingest
 
-    settings = {
-        "input": args.input,
-        "format": args.format,
-        "label_column": args.label_column or "",
-        "normalize": False,
-    }
     ingest.check_downsample_settings(args.rate, args.seed)
-    dataset = _load_dataset(settings)
+    dataset = _load_dataset(args.input, args.format, args.label_column)
     result = ingest.downsample_to_rate(dataset, args.rate, args.seed)
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -220,17 +212,11 @@ def cmd_downsample(args: argparse.Namespace) -> int:
 def cmd_score(args: argparse.Namespace) -> int:
     from . import learner, sp
 
-    settings = {
-        "input": args.input,
-        "format": args.format,
-        "label_column": args.label_column or "",
-        "normalize": args.normalize,
-    }
     config = SpConfig(args.subsample_size, args.ensemble_size, args.seed)
     config.validate()
     model = learner.load_model(args.model)
     # A libsvm file is only as wide as its largest index; read it at the model's.
-    dataset = _load_dataset(settings, model.n_features)
+    dataset = _load_dataset(args.input, args.format, args.label_column, model.n_features)
     scores = sp.sp_score_embedded(dataset, model, config)
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -286,7 +272,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         )
         artifacts += [csv_path.name, "scalability.gp"]
     else:
-        dataset = _load_dataset(settings)
+        dataset = _load_dataset(settings["input"], settings["format"], settings["label_column"])
         if kind == "comparison":
             rows, summary = experiments.run_comparison(dataset, params, repeats=exp.repeats)
             write_rows_csv(out_dir / "comparison_summary.csv", summary,
@@ -376,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_score.add_argument("--output", required=True)
     p_score.add_argument("--format", default="auto")
     p_score.add_argument("--label-column", default=None)
-    p_score.add_argument("--normalize", action="store_true")
     p_score.add_argument("--subsample-size", type=int, default=HyperParams.subsample_size)
     p_score.add_argument("--ensemble-size", type=int, default=HyperParams.ensemble_size)
     p_score.add_argument("--seed", type=int, default=0)

@@ -3,8 +3,7 @@
 Supported file formats:
 
 * svmlight/libsvm text: ``<label> <index>:<value> ...`` with 1-based,
-  ascending feature indices (the reader has a ``zero_based`` switch for
-  files that start at index 0); label 1 marks an outlier.
+  ascending feature indices; label 1 marks an outlier.
 * numeric CSV with an optional header row and an optional label column.
 """
 
@@ -20,30 +19,20 @@ import scipy.sparse as sp
 from .data import Dataset
 
 
-def _fmt(value: float) -> str:
-    """Shortest exact decimal form of a float (round-trips under float())."""
-    return repr(float(value))
-
-
-def load_libsvm(
-    path,
-    n_features_hint: Optional[int] = None,
-    zero_based: bool = False,
-) -> Dataset:
+def load_libsvm(path, n_features_hint: Optional[int] = None) -> Dataset:
     """Load a sparse dataset from a libsvm-format text file.
 
-    Feature indices are 1-based on disk and 0-based in memory unless
-    ``zero_based`` is set. Out-of-order indices within a line are accepted
-    and re-sorted; duplicate indices are an error. The feature count is
-    ``max observed index + 1`` or ``n_features_hint``, whichever is larger.
-    Label 1 marks an outlier; any other label an inlier.
+    Feature indices are 1-based on disk and 0-based in memory. Out-of-order
+    indices within a line are accepted and re-sorted; duplicate indices are
+    an error. The feature count is ``max observed index + 1`` or
+    ``n_features_hint``, whichever is larger. Label 1 marks an outlier; any
+    other label an inlier.
 
     Args:
         path: file to read.
         n_features_hint: lower bound on the feature count, the width of the
             model that will read the data; an index at or beyond it is an
             error.
-        zero_based: treat on-disk indices as already 0-based.
 
     Raises:
         ValueError: on an empty file or a malformed line (the message names
@@ -54,7 +43,6 @@ def load_libsvm(
     row_values: list[np.ndarray] = []
     labels = []
     max_index = -1
-    offset = 0 if zero_based else 1
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
@@ -78,14 +66,12 @@ def load_libsvm(
                     raise ValueError(
                         f"line {lineno}: bad feature token {tok!r}"
                     ) from None
-            idx -= offset
+            idx -= 1
             if idx.size and idx.min() < 0:
-                raise ValueError(
-                    f"line {lineno}: feature index below {offset} not allowed"
-                )
+                raise ValueError(f"line {lineno}: feature index below 1 not allowed")
             if n_features_hint is not None and idx.size and idx.max() >= n_features_hint:
                 raise ValueError(
-                    f"line {lineno}: feature index {idx.max() + offset} exceeds "
+                    f"line {lineno}: feature index {idx.max() + 1} exceeds "
                     f"the model's {n_features_hint} features"
                 )
             order = np.argsort(idx, kind="stable")
@@ -129,8 +115,8 @@ def write_libsvm(dataset: Dataset, path) -> None:
             else:
                 label = "1" if dataset.labels[i] else "-1"
             pairs = " ".join(
-                f"{int(j) + 1}:{_fmt(v)}"
-                for j, v in zip(matrix.indices[lo:hi], matrix.data[lo:hi])
+                f"{j + 1}:{v!r}"
+                for j, v in zip(matrix.indices[lo:hi].tolist(), matrix.data[lo:hi].tolist())
             )
             handle.write(f"{label} {pairs}".rstrip() + "\n")
 
@@ -319,13 +305,3 @@ def downsample_to_rate(dataset: Dataset, rate: float, seed: int) -> Dataset:
     kept = np.sort(np.concatenate([inliers, chosen]))
     return dataset.take(kept)
 
-
-def minmax_scale(dataset: Dataset) -> Dataset:
-    """Rescale each feature of a dense dataset to [0, 1] (constant -> 0)."""
-    if dataset.is_sparse:
-        raise ValueError("min-max scaling supports dense datasets only")
-    values = dataset.values
-    lo = values.min(axis=0)
-    span = values.max(axis=0) - lo
-    span[span == 0] = 1.0
-    return Dataset((values - lo) / span, dataset.labels, dataset.known_outliers)

@@ -34,6 +34,7 @@ in row-major order.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -300,8 +301,7 @@ def train(
     m = params.rep_dim
     if m > d:
         raise ValueError(f"rep_dim must be <= n_features, got {m} > {d}")
-    labeled = dataset.known_outliers
-    pools = sampling_pools(sets, scores, labeled, params.labeled_fraction)
+    pools = sampling_pools(sets, scores, dataset.known_outliers, params.labeled_fraction)
 
     root = np.random.SeedSequence(params.rng_seed)
     init_ss, batch_ss, eval_ss = root.spawn(3)
@@ -319,16 +319,7 @@ def train(
     n_batches = math.ceil(params.samples_per_epoch / params.batch_size)
 
     def _sample(rng: np.random.Generator):
-        return sample_batch_arrays(
-            sets,
-            scores,
-            params.query_size,
-            params.batch_size,
-            rng,
-            labeled=labeled,
-            labeled_fraction=params.labeled_fraction,
-            pools=pools,
-        )
+        return sample_batch_arrays(pools, params.query_size, params.batch_size, rng)
 
     def _eval_losses() -> np.ndarray:
         q, p, g = _sample(np.random.default_rng(eval_ss))
@@ -376,25 +367,25 @@ def save_model(model: RepresentationModel, path) -> None:
     header = _MODEL_MAGIC + struct.pack(
         "<IQQ", _MODEL_VERSION, model.n_features, model.rep_dim
     )
-    payload = np.ascontiguousarray(model.weights, dtype="<f8").tobytes()
     with open(path, "wb") as handle:
         handle.write(header)
-        handle.write(payload)
+        np.ascontiguousarray(model.weights, dtype="<f8").tofile(handle)
 
 
 def load_model(path) -> RepresentationModel:
-    """Read a model written by ``save_model``."""
+    """Read a model written by ``save_model``, straight into one weight array."""
     with open(path, "rb") as handle:
-        blob = handle.read()
-    if blob[:4] != _MODEL_MAGIC:
-        raise ValueError("not a representation model file (bad magic)")
-    if len(blob) < 24:
-        raise ValueError(f"model file truncated: {len(blob)} bytes, header needs 24")
-    version, d, m = struct.unpack("<IQQ", blob[4:24])
-    if version != _MODEL_VERSION:
-        raise ValueError(f"unsupported model version {version}")
-    expected = 24 + d * m * 8
-    if len(blob) != expected:
-        raise ValueError(f"model file truncated: expected {expected} bytes, got {len(blob)}")
-    weights = np.frombuffer(blob[24:], dtype="<f8").reshape(d, m)
-    return RepresentationModel(weights.copy())
+        header = handle.read(24)
+        if header[:4] != _MODEL_MAGIC:
+            raise ValueError("not a representation model file (bad magic)")
+        size = os.fstat(handle.fileno()).st_size
+        if size < 24:
+            raise ValueError(f"model file truncated: {size} bytes, header needs 24")
+        version, d, m = struct.unpack("<IQQ", header[4:24])
+        if version != _MODEL_VERSION:
+            raise ValueError(f"unsupported model version {version}")
+        expected = 24 + d * m * 8
+        if size != expected:
+            raise ValueError(f"model file truncated: expected {expected} bytes, got {size}")
+        weights = np.fromfile(handle, dtype="<f8", count=d * m).reshape(d, m)
+    return RepresentationModel(weights)

@@ -72,6 +72,7 @@ class SamplingPools:
     outliers: np.ndarray
     negative_weights: np.ndarray | None
     labeled: np.ndarray | None
+    labeled_fraction: float
 
 
 def sampling_pools(
@@ -103,40 +104,28 @@ def sampling_pools(
         sets.outlier_idx,
         None if only_labeled else negative_sampling_weights(scores, sets.outlier_idx),
         labeled_arr,
+        labeled_fraction,
     )
 
 
 def sample_batch_arrays(
-    sets: CandidateSets,
-    scores: OutlierScores,
-    n: int,
-    b: int,
-    rng: np.random.Generator,
-    labeled=None,
-    labeled_fraction: float = 0.5,
-    *,
-    pools: SamplingPools | None = None,
+    pools: SamplingPools, n: int, b: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw one batch as index arrays: queries (b, n), positives and negatives (b,).
 
-    With a non-empty ``labeled`` pool, the last ``floor(b * labeled_fraction)``
-    negatives come uniformly from the pool and the rest from the outlier
-    candidates by score weighting; labeled indices are removed from the
-    inlier side first. A caller drawing many batches passes ``pools``,
-    computed once by ``sampling_pools(sets, scores, labeled,
-    labeled_fraction)``; the draws are the same either way.
+    With a labeled pool, the last ``floor(b * pools.labeled_fraction)``
+    negatives come uniformly from it and the rest from the outlier
+    candidates by score weighting.
     """
     if n < 1:
         raise ValueError(f"query size >= 1 required, got {n}")
     if b < 1:
         raise ValueError(f"batch size >= 1 required, got {b}")
-    if pools is None:
-        pools = sampling_pools(sets, scores, labeled, labeled_fraction)
 
     queries = rng.choice(pools.inliers, size=(b, n), replace=True, p=pools.query_weights)
     positives = rng.choice(pools.inliers, size=b, replace=True)
 
-    n_labeled = int(b * labeled_fraction) if pools.labeled is not None else 0
+    n_labeled = int(b * pools.labeled_fraction) if pools.labeled is not None else 0
     n_candidates = b - n_labeled
     parts = []
     if n_candidates:

@@ -26,7 +26,7 @@ from repen.experiments import run_labeled_curve
 from repen.ingest import synth_gaussian_with_outliers
 from repen.learner import loss_gradient, train, transform, triplet_loss
 from repen.pipeline import run_pipeline, stage_seeds
-from repen.sampling import sample_batch_arrays
+from repen.sampling import sample_batch_arrays, sampling_pools
 from repen.sp import SpConfig, draw_subsamples, sp_score
 from repen.thresholding import candidate_sets, cantelli_bound, cantelli_partition
 from repen.cli import main as cli_main
@@ -167,8 +167,9 @@ class TestCriterion05SamplingDistributions:
         draws = 100_000
         q_counts = np.zeros(6)
         g_counts = np.zeros(4)
+        pools = sampling_pools(sets, scores)
         for _ in range(draws // 1000):
-            q, _, g = sample_batch_arrays(sets, scores, n=1, b=1000, rng=rng)
+            q, _, g = sample_batch_arrays(pools, n=1, b=1000, rng=rng)
             q_counts += np.bincount(q.ravel(), minlength=6)
             g_counts += np.bincount(g - 6, minlength=4)
         z = values[:6].sum()
@@ -181,8 +182,9 @@ class TestCriterion05SamplingDistributions:
 
         # Labeled mixing: exactly ceil(b/2) candidates and floor(b/2) labeled.
         labeled = np.array([3])  # member of the inlier pool
+        pools = sampling_pools(sets, scores, labeled)
         for b in (256, 7):
-            _, _, g = sample_batch_arrays(sets, scores, n=1, b=b, rng=rng, labeled=labeled)
+            _, _, g = sample_batch_arrays(pools, n=1, b=b, rng=rng)
             n_labeled = int((g == 3).sum())
             assert n_labeled == b // 2
             assert b - n_labeled == -(-b // 2)

@@ -220,6 +220,14 @@ class TestPipelineCommand:
         assert rc != 0
         assert "unknown config key" in capsys.readouterr().err
 
+    def test_retired_normalize_key_rejected(self, tmp_path, capsys):
+        data = _write_synth(tmp_path, "csv")
+        cfg = tmp_path / "old_manifest.cfg"
+        cfg.write_text(f"input = {data}\nlabel_column = label\nnormalize = false\n")
+        rc = main(["pipeline", "--config", str(cfg)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: unknown config key 'normalize'\n"
+
     def test_non_finite_input_rejected_before_training(self, tmp_path, capsys):
         data = _write_nan_csv(tmp_path)
         out_dir = tmp_path / "run"
@@ -311,6 +319,14 @@ class TestScoreCommand:
         err = capsys.readouterr().err
         assert rc == 1
         assert err == "error: line 1: feature index 201 exceeds the model's 200 features\n"
+
+    def test_normalize_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["score", "--model", str(tmp_path / "model.repen"),
+                  "--input", str(tmp_path / "data.csv"),
+                  "--output", str(tmp_path / "s.csv"), "--normalize"])
+        assert exc_info.value.code == 2  # argparse usage error
+        assert "unrecognized arguments: --normalize" in capsys.readouterr().err
 
     def test_model_shorter_than_header_is_a_clean_error(self, tmp_path, capsys):
         data = _write_synth(tmp_path, "csv")

@@ -9,7 +9,6 @@ from repen.ingest import (
     downsample_to_rate,
     load_csv,
     load_libsvm,
-    minmax_scale,
     synth_gaussian_with_outliers,
     write_csv,
     write_libsvm,
@@ -29,14 +28,6 @@ class TestLoadLibsvm:
         assert dense[0, 2] == 0.5 and dense[0, 6] == 1.0
         assert dense[1, 0] == 2.0
         assert ds.labels.tolist() == [True, False]
-
-    def test_zero_based_switch(self, tmp_path):
-        path = tmp_path / "a.libsvm"
-        path.write_text("1 3:0.5 7:1.0\n0 1:2.0\n")
-        ds = load_libsvm(path, zero_based=True)
-        assert ds.n_features == 8
-        dense = ds.to_dense()
-        assert dense[0, 3] == 0.5 and dense[0, 7] == 1.0
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.libsvm"
@@ -258,15 +249,3 @@ class TestDownsample:
         with pytest.raises(ValueError, match="need"):
             downsample_to_rate(ds, 0.25, seed=0)
 
-
-class TestMinmaxScale:
-    def test_unit_range(self, rng):
-        ds = Dataset(rng.standard_normal((30, 4)) * 9 + 3)
-        scaled = minmax_scale(ds)
-        assert np.allclose(scaled.values.min(axis=0), 0.0)
-        assert np.allclose(scaled.values.max(axis=0), 1.0)
-
-    def test_sparse_rejected(self, rng):
-        ds = Dataset(rng.standard_normal((5, 3))).as_sparse()
-        with pytest.raises(ValueError, match="dense"):
-            minmax_scale(ds)

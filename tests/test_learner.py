@@ -1,6 +1,7 @@
 """Representation map, ranking loss, exact gradients, optimizer, training."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -31,7 +32,7 @@ from repen.learner import (
     triplet_loss,
 )
 from repen.pipeline import run_pipeline
-from repen.sampling import sample_batch_arrays
+from repen.sampling import sample_batch_arrays, sampling_pools
 from repen.sp import SpConfig, sp_score
 from repen.thresholding import candidate_sets
 
@@ -341,12 +342,10 @@ def _reference_train(ds, sets, scores, params):
         ds.n_features, params.rep_dim, params.optimizer_decay, params.optimizer_eps
     )
     n_batches = math.ceil(params.samples_per_epoch / params.batch_size)
+    pools = sampling_pools(sets, scores, ds.known_outliers, params.labeled_fraction)
     for stream in batch_ss.spawn(params.n_epochs * n_batches):
-        q, p, g = sample_batch_arrays(
-            sets, scores, params.query_size, params.batch_size,
-            np.random.default_rng(stream),
-            labeled=ds.known_outliers, labeled_fraction=params.labeled_fraction,
-        )
+        q, p, g = sample_batch_arrays(pools, params.query_size, params.batch_size,
+                                      np.random.default_rng(stream))
         _, grad = _batch_loss_grad(ds.values, weights, q, p, g, params.margin)
         if grad is None:
             grad = np.zeros_like(weights)
@@ -373,7 +372,7 @@ class TestTouchedRowUpdate:
     def test_sparse_gradient_covers_touched_columns_only(self):
         ds, sets, scores = _sparse_training_inputs()
         rng = np.random.default_rng(3)
-        q, p, g = sample_batch_arrays(sets, scores, 2, 16, rng)
+        q, p, g = sample_batch_arrays(sampling_pools(sets, scores), 2, 16, rng)
         weights = rng.standard_normal((ds.n_features, 4)) * 0.05
         losses, grad = _batch_loss_grad(ds.values, weights, q, p, g, 1000.0)
         rows = np.unique(np.concatenate([q.ravel(), p, g]))
@@ -556,10 +555,11 @@ class TestBatchLossGradContract:
         rng = np.random.default_rng(3)
         weights = rng.standard_normal((ds.n_features, 4)) * 0.05
         cache = PreActivationCache.empty(ds.n_objects, 4)
+        pools = sampling_pools(sets, scores)
         # A first batch leaves part of the second batch's rows fresh.
-        _batch_loss_grad(ds.values, weights, *sample_batch_arrays(sets, scores, 1, 8, rng),
+        _batch_loss_grad(ds.values, weights, *sample_batch_arrays(pools, 1, 8, rng),
                          1000.0, cache=cache)
-        batch = sample_batch_arrays(sets, scores, 2, 16, rng)
+        batch = sample_batch_arrays(pools, 2, 16, rng)
         rows = np.unique(np.concatenate([batch[0].ravel(), batch[1], batch[2]]))
         assert 0 < cache.fresh[rows].sum() < rows.size
         plain = _batch_loss_grad(ds.values, weights, *batch, 1000.0)
@@ -618,3 +618,21 @@ class TestModelPersistence:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ValueError, match="truncated"):
             load_model(path)
+
+    def test_io_peaks_stay_near_the_weight_bytes(self, tmp_path, rng):
+        """Saving copies no weights; loading holds about one weight array."""
+        model = RepresentationModel(rng.standard_normal((50_000, 20)))
+        path = tmp_path / "model.repen"
+        weight_bytes = model.weights.nbytes
+        tracemalloc.start()
+        try:
+            save_model(model, path)
+            save_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            back = load_model(path)
+            load_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.weights, model.weights)
+        assert save_peak < 0.25 * weight_bytes, save_peak / weight_bytes
+        assert load_peak < 1.5 * weight_bytes, load_peak / weight_bytes

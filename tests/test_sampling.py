@@ -78,7 +78,7 @@ def _simple_sets(n_in=6, n_out=3):
 class TestSampleBatch:
     def test_shapes_and_pools(self, rng):
         sets, scores = _simple_sets()
-        q, p, g = sample_batch_arrays(sets, scores, n=2, b=16, rng=rng)
+        q, p, g = sample_batch_arrays(sampling_pools(sets, scores), n=2, b=16, rng=rng)
         assert q.shape == (16, 2) and p.shape == (16,) and g.shape == (16,)
         assert np.isin(q, sets.inlier_idx).all()
         assert np.isin(p, sets.inlier_idx).all()
@@ -86,74 +86,75 @@ class TestSampleBatch:
 
     def test_single_member_queries(self, rng):
         sets, scores = _simple_sets()
-        q, _, _ = sample_batch_arrays(sets, scores, n=1, b=8, rng=rng)
+        q, _, _ = sample_batch_arrays(sampling_pools(sets, scores), n=1, b=8, rng=rng)
         assert q.shape == (8, 1)
 
     def test_labeled_split_counts(self, rng):
         sets, scores = _simple_sets(n_in=8, n_out=4)
         labeled = np.array([20])  # outside both candidate pools
         scores = _scores(np.concatenate([scores.scores, np.zeros(9)]))
-        q, p, g = sample_batch_arrays(sets, scores, n=1, b=4, rng=rng, labeled=labeled)
+        pools = sampling_pools(sets, scores, labeled)
+        q, p, g = sample_batch_arrays(pools, n=1, b=4, rng=rng)
         assert (g == 20).sum() == 2  # floor(4 / 2) from the singleton pool
         assert sum(x in sets.outlier_idx for x in g) == 2  # ceil(4 / 2)
 
     def test_odd_batch_rounds_candidate_side_up(self, rng):
         sets, scores = _simple_sets(n_in=8, n_out=4)
         labeled = np.array([4])
-        q, p, g = sample_batch_arrays(sets, scores, n=1, b=5, rng=rng, labeled=labeled)
+        pools = sampling_pools(sets, scores, labeled)
+        q, p, g = sample_batch_arrays(pools, n=1, b=5, rng=rng)
         assert (g == 4).sum() == 2      # floor(5/2)
         assert 5 - (g == 4).sum() == 3  # ceil(5/2)
 
     def test_labeled_removed_from_inlier_side(self, rng):
         sets, scores = _simple_sets(n_in=6, n_out=3)
         labeled = np.array([0, 1])  # indices sitting inside the inlier pool
+        pools = sampling_pools(sets, scores, labeled)
         for _ in range(20):
-            q, p, g = sample_batch_arrays(sets, scores, n=2, b=8, rng=rng, labeled=labeled)
+            q, p, g = sample_batch_arrays(pools, n=2, b=8, rng=rng)
             assert not np.isin(q, labeled).any()
             assert not np.isin(p, labeled).any()
 
     def test_every_batch_draws_from_labeled_pool(self, rng):
         sets, scores = _simple_sets(n_in=8, n_out=4)
         labeled = np.array([0, 3])
+        pools = sampling_pools(sets, scores, labeled)
         for b in range(2, 20):
-            _, _, g = sample_batch_arrays(sets, scores, n=1, b=b, rng=rng,
-                                          labeled=labeled)
+            _, _, g = sample_batch_arrays(pools, n=1, b=b, rng=rng)
             assert np.isin(g, labeled).sum() >= 1
 
     def test_positive_never_equals_negative(self, rng):
         sets, scores = _simple_sets()
         labeled = np.array([1, 7])
+        pools = sampling_pools(sets, scores, labeled)
         for _ in range(30):
-            _, p, g = sample_batch_arrays(sets, scores, n=1, b=16, rng=rng, labeled=labeled)
+            _, p, g = sample_batch_arrays(pools, n=1, b=16, rng=rng)
             assert not np.any(p == g)
 
     def test_deterministic_per_stream(self):
         sets, scores = _simple_sets()
-        a = sample_batch_arrays(sets, scores, 1, 32, np.random.default_rng(5))
-        b = sample_batch_arrays(sets, scores, 1, 32, np.random.default_rng(5))
+        pools = sampling_pools(sets, scores)
+        a = sample_batch_arrays(pools, 1, 32, np.random.default_rng(5))
+        b = sample_batch_arrays(pools, 1, 32, np.random.default_rng(5))
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
-    @pytest.mark.parametrize("labeled", [None, np.array([], dtype=int), np.array([1, 7])])
-    def test_precomputed_pools_give_the_same_draws(self, labeled):
-        sets, scores = _simple_sets()
-        pools = sampling_pools(sets, scores, labeled, 0.4)
-        for seed in range(5):
-            plain = sample_batch_arrays(sets, scores, 2, 9, np.random.default_rng(seed),
-                                        labeled=labeled, labeled_fraction=0.4)
-            pooled = sample_batch_arrays(sets, scores, 2, 9, np.random.default_rng(seed),
-                                         labeled=labeled, labeled_fraction=0.4, pools=pools)
-            for x, y in zip(plain, pooled):
-                assert np.array_equal(x, y)
+    def test_pools_carry_the_labeled_fraction(self, rng):
+        sets, scores = _simple_sets(n_in=8, n_out=4)
+        labeled = np.array([0, 3])
+        pools = sampling_pools(sets, scores, labeled, labeled_fraction=1.0)
+        assert pools.labeled_fraction == 1.0 and pools.negative_weights is None
+        _, _, g = sample_batch_arrays(pools, n=1, b=16, rng=rng)
+        assert np.isin(g, labeled).all()
 
     def test_empty_pools_rejected(self, rng):
         sets, scores = _simple_sets()
         empty_out = CandidateSets(np.array([], dtype=int), sets.inlier_idx)
         with pytest.raises(ValueError, match="outlier"):
-            sample_batch_arrays(empty_out, scores, 1, 4, rng)
+            sampling_pools(empty_out, scores)
         labeled_everything = sets.inlier_idx
         with pytest.raises(ValueError, match="inlier"):
-            sample_batch_arrays(sets, scores, 1, 4, rng, labeled=labeled_everything)
+            sampling_pools(sets, scores, labeled_everything)
 
 
 class TestEmpiricalFrequencies:
@@ -164,8 +165,9 @@ class TestEmpiricalFrequencies:
         rng = np.random.default_rng(123)
         picks = np.zeros(2)
         draws = 100_000
+        pools = sampling_pools(sets, scores)
         for _ in range(draws // 500):
-            q, _, _ = sample_batch_arrays(sets, scores, n=1, b=500, rng=rng)
+            q, _, _ = sample_batch_arrays(pools, n=1, b=500, rng=rng)
             picks[0] += (q == 0).sum()
             picks[1] += (q == 1).sum()
         freq = picks[0] / draws
@@ -179,8 +181,9 @@ class TestEmpiricalFrequencies:
         draws = 100_000
         q_counts = np.zeros(6)
         g_counts = np.zeros(4)
+        pools = sampling_pools(sets, scores)
         for _ in range(draws // 1000):
-            q, _, g = sample_batch_arrays(sets, scores, n=1, b=1000, rng=rng)
+            q, _, g = sample_batch_arrays(pools, n=1, b=1000, rng=rng)
             q_counts += np.bincount(q.ravel(), minlength=6)
             g_counts += np.bincount(g - 6, minlength=4)
         wq = np.array([(values[:6].sum() - v) for v in values[:6]])
