@@ -10,9 +10,10 @@ are dropped from the inlier side so they never act as pseudo-inliers.
 
 All draws are with replacement across triplets and come from an explicit
 generator argument, so batch construction is deterministic per stream.
-The pools and their weights depend only on the scores, the sets and the
-labels, so a fit computes them once (``sampling_pools``) and any warning
-about degenerate scores fires once per fit, not once per batch.
+The pools and their weights depend only on the scores, the sets, the
+labels and the labeled fraction, so a fit computes them once
+(``sampling_pools``), every batch draws from them, and any warning about
+degenerate scores fires once per fit, not once per batch.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ def negative_sampling_weights(scores: OutlierScores, outliers) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SamplingPools:
-    """What every batch of one fit draws from: fixed by the scores, sets and labels."""
+    """What every batch of one fit draws from, fixed once per fit with the labeled fraction."""
 
     inliers: np.ndarray
     query_weights: np.ndarray
