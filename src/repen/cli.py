@@ -16,7 +16,8 @@ the run bit-exactly in single-threaded mode.
 
 Thread count comes from --threads or the REPEN_THREADS environment variable
 and is applied to the BLAS thread pools before numpy loads;
---deterministic forces one thread.
+--deterministic forces one BLAS thread. The file writers format large tables
+in worker processes whatever the count; their bytes do not depend on it.
 """
 
 from __future__ import annotations
@@ -322,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--threads", type=int, default=None,
                         help="BLAS thread count (default: REPEN_THREADS or library default)")
     parser.add_argument("--deterministic", action="store_true",
-                        help="force single-threaded, bit-reproducible execution")
+                        help="force one BLAS thread for bit-reproducible execution")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_pipe = sub.add_parser("pipeline", help="run the full pipeline on a dataset file")

@@ -88,6 +88,15 @@ class Dataset:
         return Dataset(self.values[idx], labels, None)
 
 
+def _all_finite(values: np.ndarray) -> bool:
+    """True when no entry is NaN or infinite; an empty array is finite.
+
+    NaN propagates through ``min`` and ``max`` and each infinity lands in
+    one of them, so two reductions answer without a full-size boolean mask.
+    """
+    return values.size == 0 or bool(np.isfinite(values.min()) and np.isfinite(values.max()))
+
+
 def validate(dataset: Dataset) -> list[str]:
     """Check a dataset against its structural invariants.
 
@@ -111,11 +120,10 @@ def validate(dataset: Dataset) -> list[str]:
             row_start[ptr[1:-1][ptr[1:-1] < idx.size]] = True
             if np.any((steps <= 0) & ~row_start[1:]):
                 issues.append("unsorted sparse indices")
-        if not np.all(np.isfinite(m.data)):
+        if not _all_finite(m.data):
             issues.append("non-finite values")
-    else:
-        if not np.all(np.isfinite(dataset.values)):
-            issues.append("non-finite values")
+    elif not _all_finite(dataset.values):
+        issues.append("non-finite values")
     ko = dataset.known_outliers
     if ko is not None and ko.size:
         if ko.min() < 0 or ko.max() >= n:
@@ -225,7 +233,7 @@ class RepresentationModel:
         weights = np.asarray(weights, dtype=np.float64)
         if weights.ndim != 2:
             raise ValueError(f"weights must be 2-D, got shape {weights.shape}")
-        if not np.all(np.isfinite(weights)):
+        if not _all_finite(weights):
             raise ValueError("weights must be finite")
         d, m = weights.shape
         if m < 1:

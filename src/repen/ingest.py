@@ -5,11 +5,21 @@ Supported file formats:
 * svmlight/libsvm text: ``<label> <index>:<value> ...`` with 1-based,
   ascending feature indices; label 1 marks an outlier.
 * numeric CSV with an optional header row and an optional label column.
+
+The writers format a table of ``POOL_MIN_CELLS`` cells or more in one
+``fork`` worker process per usable core, and smaller tables (or any table
+in a process that runs other threads) in-process.
+The written bytes do not depend on that count, so ``--deterministic`` and
+``--threads`` (the BLAS thread count) do not govern the writers.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import multiprocessing
+import os
+import threading
 import warnings
 from typing import Optional
 
@@ -17,6 +27,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from .data import Dataset
+
+# Writers format a table in blocks of about this many cells (values, or
+# nonzeros for libsvm), which bounds the Python objects alive at a time.
+BLOCK_CELLS = 1 << 16
+# Tables with fewer cells are formatted in-process: forking workers
+# costs more than it saves on them.
+POOL_MIN_CELLS = 100_000
 
 
 def load_libsvm(path, n_features_hint: Optional[int] = None) -> Dataset:
@@ -106,19 +123,26 @@ def write_libsvm(dataset: Dataset, path) -> None:
     written with label ``0`` (which loads back as all-inlier labels, so only
     labeled datasets round-trip exactly).
     """
-    matrix = dataset.values if dataset.is_sparse else sp.csr_matrix(dataset.values)
-    with open(path, "w", encoding="utf-8") as handle:
-        for i in range(dataset.n_objects):
-            lo, hi = matrix.indptr[i], matrix.indptr[i + 1]
-            if dataset.labels is None:
-                label = "0"
-            else:
-                label = "1" if dataset.labels[i] else "-1"
-            pairs = " ".join(
-                f"{j + 1}:{v!r}"
-                for j, v in zip(matrix.indices[lo:hi].tolist(), matrix.data[lo:hi].tolist())
-            )
-            handle.write(f"{label} {pairs}".rstrip() + "\n")
+    cells = dataset.values.nnz if dataset.is_sparse else dataset.values.size
+    _write_table(path, "", dataset, cells, _libsvm_rows)
+
+
+def _libsvm_rows(dataset: Dataset, lo: int, hi: int) -> str:
+    """The libsvm lines of rows ``[lo, hi)``."""
+    matrix = dataset.values[lo:hi]
+    if not dataset.is_sparse:
+        matrix = sp.csr_matrix(matrix)
+    indices, data = matrix.indices.tolist(), matrix.data.tolist()
+    lines = []
+    for i in range(hi - lo):
+        if dataset.labels is None:
+            label = "0"
+        else:
+            label = "1" if dataset.labels[lo + i] else "-1"
+        a, b = matrix.indptr[i], matrix.indptr[i + 1]
+        pairs = " ".join(f"{j + 1}:{v!r}" for j, v in zip(indices[a:b], data[a:b]))
+        lines.append(f"{label} {pairs}".rstrip() + "\n")
+    return "".join(lines)
 
 
 def _parse_rows(rows: list, width: int) -> np.ndarray:
@@ -214,18 +238,128 @@ def load_csv(path, label_column: Optional[str] = None) -> Dataset:
 
 def write_csv(dataset: Dataset, path) -> None:
     """Write a dataset as CSV with a header; labels become a trailing ``label`` column."""
-    values = dataset.to_dense()
+    n, d = dataset.values.shape
+    _write_table(path, _csv_header(dataset), dataset, n * d, _csv_rows)
+
+
+def _csv_header(dataset: Dataset) -> str:
+    # Its own function, so the list of names is gone before rows are formatted.
     names = [f"f{j}" for j in range(dataset.n_features)]
     if dataset.labels is not None:
         names.append("label")
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(names) + "\n")
-        # Row by row, so only one row of Python floats exists at a time.
-        for i, row in enumerate(values):
-            cells = list(map(repr, row.tolist()))
-            if dataset.labels is not None:
-                cells.append("1" if dataset.labels[i] else "0")
-            handle.write(",".join(cells) + "\n")
+    return ",".join(names) + "\n"
+
+
+def _csv_rows(dataset: Dataset, lo: int, hi: int) -> str:
+    """The CSV lines of rows ``[lo, hi)``; CSR rows are densified here only."""
+    block = dataset.values[lo:hi]
+    if dataset.is_sparse:
+        block = block.toarray()
+    lines = []
+    for i, row in enumerate(block, start=lo):
+        # A row wider than a block goes in block-sized pieces, so one
+        # block's worth of Python floats and strings exists at a time.
+        cells = [
+            ",".join(map(repr, row[j : j + BLOCK_CELLS].tolist()))
+            for j in range(0, row.size, BLOCK_CELLS)
+        ]
+        if dataset.labels is not None:
+            cells.append("1" if dataset.labels[i] else "0")
+        lines.append(",".join(cells) + "\n")
+    return "".join(lines)
+
+
+def _write_table(path, header: str, dataset: Dataset, n_cells: int, format_rows) -> None:
+    """Write ``header``, then ``format_rows(dataset, lo, hi)`` for contiguous row blocks."""
+    n = dataset.n_objects
+    step = max(1, BLOCK_CELLS * n // max(n_cells, 1))
+    bounds = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+    # The workers fork before the file opens, so none of them holds its buffer.
+    with _formatted_blocks(format_rows, dataset, bounds, n_cells) as blocks:
+        with open(path, "wb") as handle:
+            handle.write(header.encode("utf-8"))
+            for block in blocks:
+                handle.write(block)
+
+
+@contextlib.contextmanager
+def _formatted_blocks(format_rows, dataset: Dataset, bounds: list, n_cells: int):
+    """Yield an iterator over the encoded blocks, in row order.
+
+    A table of at least ``POOL_MIN_CELLS`` cells, on a host with a second
+    usable core and the ``fork`` start method, in a process with no other
+    thread, is formatted by one forked worker per usable core. Worker k
+    formats blocks k, k + W, ... and sends each through its own pipe, so the
+    table reaches it through the fork and the parent holds about one block
+    at a time. Each block is formatted the same way wherever it runs, so the
+    bytes do not depend on the worker count. A worker's error is raised
+    here, as is the death of a worker. Every worker is joined before the
+    block exits.
+    """
+    try:
+        workers = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        workers = os.cpu_count() or 1
+    workers = min(workers, len(bounds))
+    if (
+        n_cells < POOL_MIN_CELLS
+        or workers < 2
+        or "fork" not in multiprocessing.get_all_start_methods()
+        # A fork copies only this thread, so a lock another thread holds
+        # would stay held in the worker forever.
+        or threading.active_count() > 1
+    ):
+        yield (format_rows(dataset, lo, hi).encode("utf-8") for lo, hi in bounds)
+        return
+    context = multiprocessing.get_context("fork")
+    processes, pipes = [], []
+    try:
+        for k in range(workers):
+            receiver, sender = context.Pipe(duplex=False)
+            pipes.append(receiver)
+            process = context.Process(
+                target=_send_blocks, args=(sender, format_rows, dataset, bounds[k::workers])
+            )
+            try:
+                process.start()
+            finally:
+                sender.close()
+            processes.append(process)
+        yield _received_blocks(pipes, processes, len(bounds))
+    except BaseException:
+        for process in processes:
+            process.terminate()
+        raise
+    finally:
+        for process in processes:
+            process.join()
+        for receiver in pipes:
+            receiver.close()
+
+
+def _send_blocks(sender, format_rows, dataset: Dataset, bounds: list) -> None:
+    """Worker: send each block's encoded text, or the error that stopped it."""
+    try:
+        for lo, hi in bounds:
+            sender.send(format_rows(dataset, lo, hi).encode("utf-8"))
+    except Exception as exc:
+        sender.send(exc)
+
+
+def _received_blocks(pipes: list, processes: list, n_blocks: int):
+    """Block i from worker i mod W, in row order; raise what stopped a worker."""
+    for i in range(n_blocks):
+        k = i % len(pipes)
+        try:
+            block = pipes[k].recv()
+        except EOFError:
+            processes[k].join()
+            raise RuntimeError(
+                f"a writer worker exited with code {processes[k].exitcode}"
+            ) from None
+        if isinstance(block, Exception):
+            raise block
+        yield block
 
 
 def synth_gaussian_with_outliers(

@@ -1,5 +1,7 @@
 """Core data type invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -11,6 +13,7 @@ from repen.data import (
     OutlierScores,
     RepresentationModel,
     Triplet,
+    require_valid,
     validate,
 )
 
@@ -66,6 +69,15 @@ class TestValidate:
         ds = Dataset(values.copy())
         validate(ds)
         assert np.array_equal(ds.values, values)
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_require_valid_rejects_each_non_finite_value(self, storage, bad):
+        values = np.arange(12, dtype=float).reshape(4, 3)
+        values[2, 1] = bad
+        ds = Dataset(values if storage == "dense" else sp.csr_matrix(values))
+        with pytest.raises(ValueError, match="^invalid dataset: non-finite values$"):
+            require_valid(ds)
 
 
 class TestDatasetStorage:
@@ -138,6 +150,29 @@ class TestRepresentationModel:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
             RepresentationModel(np.array([[np.inf], [0.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_rejects_each_non_finite_value(self, rng, bad):
+        weights = rng.standard_normal((6, 2))
+        weights[4, 1] = bad
+        with pytest.raises(ValueError, match="^weights must be finite$"):
+            RepresentationModel(weights)
+
+    def test_empty_weights_keep_their_shape_errors(self):
+        with pytest.raises(ValueError, match="^rep_dim >= 1 required$"):
+            RepresentationModel(np.ones((3, 0)))
+        with pytest.raises(ValueError, match="^rep_dim must be <= n_features, got 2 > 0$"):
+            RepresentationModel(np.ones((0, 2)))
+
+    def test_construction_allocates_no_weight_sized_mask(self, rng):
+        weights = rng.standard_normal((50_000, 20))
+        tracemalloc.start()
+        try:
+            RepresentationModel(weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.01 * weights.nbytes, peak / weights.nbytes
 
 
 class TestHyperParams:

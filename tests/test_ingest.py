@@ -1,7 +1,13 @@
 """File format loaders, writers, and the synthetic generator."""
 
+import multiprocessing
+import os
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repen import ingest
 from repen.data import Dataset
@@ -201,6 +207,154 @@ class TestCsvReaderPaths:
         path.write_text("f1,f2\n1,2\n")
         with pytest.raises(ValueError, match="^label column 'y' not found in header$"):
             load_csv(path, label_column="y")
+
+
+EDGE_FLOATS = [-0.0, 5e-324, 1e-05, 1e16, 0.1, 1.7976931348623157e308]
+
+
+def _csr(rng, n, d, per_row, empty_rows=()):
+    """A CSR matrix with ``per_row`` random nonzeros in each row but ``empty_rows``."""
+    counts = [0 if i in empty_rows else per_row for i in range(n)]
+    cols = np.concatenate([np.sort(rng.choice(d, k, replace=False)) for k in counts])
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    return sp.csr_matrix((rng.standard_normal(cols.size), cols, indptr), shape=(n, d))
+
+
+def _force_workers(monkeypatch):
+    """Send every write to two forked workers, in blocks of a few cells."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("no fork start method")
+    monkeypatch.setattr(ingest, "POOL_MIN_CELLS", 0)
+    monkeypatch.setattr(ingest, "BLOCK_CELLS", 7)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    _force_workers(monkeypatch)
+
+
+def _pids(path) -> set:
+    return {int(line) for line in path.read_text().splitlines()[1:]}
+
+
+class TestWriterWorkers:
+    """Writers give the same bytes in-process and from forked workers."""
+
+    @pytest.mark.parametrize("writer", [write_csv, write_libsvm])
+    @pytest.mark.parametrize(
+        "case", ["dense", "dense_unlabeled", "csr", "csr_unlabeled", "one_row", "empty_rows"]
+    )
+    def test_forked_bytes_match_in_process(self, tmp_path, rng, monkeypatch, writer, case):
+        values = {
+            "dense": lambda: rng.standard_normal((23, 5)),
+            "dense_unlabeled": lambda: rng.standard_normal((23, 5)),
+            "csr": lambda: _csr(rng, 23, 40, 3),
+            "csr_unlabeled": lambda: _csr(rng, 23, 40, 3),
+            "one_row": lambda: rng.standard_normal((1, 9)),
+            "empty_rows": lambda: _csr(rng, 12, 30, 4, empty_rows={0, 5, 6, 11}),
+        }[case]()
+        labels = None if case.endswith("unlabeled") else rng.random(values.shape[0]) < 0.4
+        # One row is one block, so the one-row table stays in-process.
+        ds = Dataset(values, labels=labels)
+        writer(ds, tmp_path / "in_process")
+        _force_workers(monkeypatch)
+        writer(ds, tmp_path / "forked")
+        assert (tmp_path / "forked").read_bytes() == (tmp_path / "in_process").read_bytes()
+        assert multiprocessing.active_children() == []
+
+    def test_edge_floats_round_trip_from_workers(self, tmp_path, forked):
+        values = np.array([EDGE_FLOATS, EDGE_FLOATS[::-1]])
+        labels = np.array([True, False])
+        write_csv(Dataset(values, labels=labels), tmp_path / "e.csv")
+        back = load_csv(tmp_path / "e.csv", label_column="label")
+        assert back.values.view(np.int64).tolist() == values.view(np.int64).tolist()
+        assert back.labels.tolist() == [True, False]
+        # Built by hand, so the CSR stores -0.0 rather than dropping it.
+        csr = sp.csr_matrix(
+            (values.ravel(), np.tile(np.arange(6), 2), np.array([0, 6, 12])), shape=(2, 6)
+        )
+        write_libsvm(Dataset(csr, labels=labels), tmp_path / "e.svm")
+        back = load_libsvm(tmp_path / "e.svm")
+        assert back.values.data.view(np.int64).tolist() == csr.data.view(np.int64).tolist()
+        assert back.values.indices.tolist() == csr.indices.tolist()
+        assert back.labels.tolist() == [True, False]
+
+    def test_workers_format_blocks_in_row_order(self, tmp_path, rng, monkeypatch, forked):
+        def bounds_and_pid(dataset, lo, hi):
+            return f"{lo} {hi} {os.getpid()}\n"
+
+        monkeypatch.setattr(ingest, "_csv_rows", bounds_and_pid)
+        write_csv(Dataset(rng.standard_normal((40, 3))), tmp_path / "b.csv")
+        lines = [line.split() for line in (tmp_path / "b.csv").read_text().splitlines()[1:]]
+        edges = [(int(lo), int(hi)) for lo, hi, _ in lines]
+        assert edges[0][0] == 0 and edges[-1][1] == 40
+        assert all(a[1] == b[0] for a, b in zip(edges, edges[1:]))
+        assert os.getpid() not in {int(pid) for _, _, pid in lines}
+
+    @pytest.mark.parametrize("where", ["worker", "dead_worker", "file"])
+    def test_errors_propagate_and_no_worker_outlives_the_write(
+        self, tmp_path, rng, monkeypatch, forked, where
+    ):
+        ds = Dataset(rng.standard_normal((40, 3)))
+        if where == "worker":
+            def broken(dataset, lo, hi):
+                raise RuntimeError(f"block {lo} failed in {os.getpid()}")
+
+            monkeypatch.setattr(ingest, "_csv_rows", broken)
+            with pytest.raises(RuntimeError, match="^block 0 failed in ") as caught:
+                write_csv(ds, tmp_path / "x.csv")
+            assert str(os.getpid()) not in str(caught.value)
+        elif where == "dead_worker":
+            monkeypatch.setattr(ingest, "_csv_rows", lambda dataset, lo, hi: os._exit(3))
+            with pytest.raises(RuntimeError, match="^a writer worker exited with code 3$"):
+                write_csv(ds, tmp_path / "x.csv")
+        else:
+            with pytest.raises(IsADirectoryError):
+                write_csv(ds, tmp_path)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("host", ["one_core", "no_fork", "other_thread"])
+    def test_formats_in_process_without_a_second_core_fork_or_sole_thread(
+        self, tmp_path, rng, monkeypatch, forked, host
+    ):
+        if host == "one_core":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        elif host == "no_fork":
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(ingest, "_csv_rows", lambda dataset, lo, hi: f"{os.getpid()}\n")
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(60,))
+        if host == "other_thread":
+            other.start()
+        try:
+            write_csv(Dataset(rng.standard_normal((40, 3))), tmp_path / "p.csv")
+        finally:
+            release.set()
+            if other.is_alive():
+                other.join()
+        assert _pids(tmp_path / "p.csv") == {os.getpid()}
+
+    def test_small_tables_stay_in_process(self, tmp_path, rng, monkeypatch):
+        monkeypatch.setattr(ingest, "_csv_rows", lambda dataset, lo, hi: f"{os.getpid()}\n")
+        rows = ingest.POOL_MIN_CELLS // 10 - 1
+        write_csv(Dataset(np.zeros((rows, 10))), tmp_path / "s.csv")
+        assert _pids(tmp_path / "s.csv") == {os.getpid()}
+
+    def test_wide_csr_is_densified_one_block_at_a_time(self, tmp_path, rng, monkeypatch):
+        n, d = 50, 100_000
+        ds = Dataset(_csr(rng, n, d, 3), labels=np.arange(n) % 2 == 0)
+        # In-process, so tracemalloc sees every block being formatted.
+        monkeypatch.setattr(ingest, "POOL_MIN_CELLS", n * d + 1)
+        path = tmp_path / "wide.csv"
+        tracemalloc.start()
+        try:
+            write_csv(ds, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * n * d * 8, peak / (n * d * 8)
+        assert datasets_equal(load_csv(path, label_column="label"), ds)
 
 
 class TestSynthGenerator:

@@ -636,3 +636,16 @@ class TestModelPersistence:
         assert np.array_equal(back.weights, model.weights)
         assert save_peak < 0.25 * weight_bytes, save_peak / weight_bytes
         assert load_peak < 1.5 * weight_bytes, load_peak / weight_bytes
+
+    def test_load_peak_is_the_weight_array(self, tmp_path, rng):
+        """Loading checks finiteness without a weight-sized mask."""
+        model = RepresentationModel(rng.standard_normal((50_000, 20)))
+        path = tmp_path / "model.repen"
+        save_model(model, path)
+        tracemalloc.start()
+        try:
+            load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.05 * model.weights.nbytes, peak / model.weights.nbytes
