@@ -16,8 +16,9 @@ the run bit-exactly in single-threaded mode.
 
 Thread count comes from --threads or the REPEN_THREADS environment variable
 and is applied to the BLAS thread pools before numpy loads;
---deterministic forces one BLAS thread. The file writers format large tables
-in worker processes whatever the count; their bytes do not depend on it.
+--deterministic forces one BLAS thread. The CSV reader parses large files,
+and the file writers format large tables, in worker processes whatever the
+count; the values read and the bytes written do not depend on it.
 """
 
 from __future__ import annotations

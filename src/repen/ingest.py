@@ -6,11 +6,13 @@ Supported file formats:
   ascending feature indices; label 1 marks an outlier.
 * numeric CSV with an optional header row and an optional label column.
 
-The writers format a table of ``POOL_MIN_CELLS`` cells or more in one
-``fork`` worker process per usable core, and smaller tables (or any table
-in a process that runs other threads) in-process.
-The written bytes do not depend on that count, so ``--deterministic`` and
-``--threads`` (the BLAS thread count) do not govern the writers.
+The writers format a table of ``POOL_MIN_CELLS`` cells or more, and
+``load_csv`` parses a CSV file with ``PARSE_MIN_BYTES`` bytes of data rows
+or more, in one ``fork`` worker process per usable core; smaller files (or
+any file in a process that runs other threads) are handled in-process. The
+values read and the bytes written do not depend on that count, so
+``--deterministic`` and ``--threads`` (the BLAS thread count) do not govern
+the CSV reader or the writers.
 """
 
 from __future__ import annotations
@@ -29,11 +31,16 @@ import scipy.sparse as sp
 from .data import Dataset
 
 # Writers format a table in blocks of about this many cells (values, or
-# nonzeros for libsvm), which bounds the Python objects alive at a time.
+# nonzeros for libsvm), which bounds the Python objects alive at a time;
+# the CSV reader's workers send their values in blocks of this many.
 BLOCK_CELLS = 1 << 16
 # Tables with fewer cells are formatted in-process: forking workers
 # costs more than it saves on them.
 POOL_MIN_CELLS = 100_000
+# CSV files with fewer bytes of data rows are parsed in-process. On a
+# shared 2-vCPU host, two parsers broke even at 4 to 15 MiB, depending on
+# the load, and saved a quarter of the time at 8 MiB on a quiet host.
+PARSE_MIN_BYTES = 1 << 23
 
 
 def load_libsvm(path, n_features_hint: Optional[int] = None) -> Dataset:
@@ -174,6 +181,14 @@ def load_csv(path, label_column: Optional[str] = None) -> Dataset:
     accepted file loads to the same values, and every rejected one raises
     the same message, whichever path parses it.
 
+    Data rows of ``PARSE_MIN_BYTES`` or more, on a host with a second usable
+    core, are cut at line ends into one byte range per core, and forked
+    workers parse all ranges but the first with the same C reader call. A
+    range that reader refuses (a line with a lone carriage return inside
+    it among them), or a lone carriage return in the header lines, sends
+    the whole file down the in-process path above, so values and error
+    messages do not depend on the worker count.
+
     Raises:
         ValueError: on ragged rows, non-numeric data cells, a cell the
             ``csv`` module refuses, an empty file, or a missing label
@@ -217,16 +232,9 @@ def load_csv(path, label_column: Optional[str] = None) -> Dataset:
             label_pos = header.index(label_column)
 
         width = len(first[1]) if header is None else len(header)
-        try:
-            with warnings.catch_warnings():
-                # "input contained no data" becomes a refusal.
-                warnings.simplefilter("error", UserWarning)
-                values = np.loadtxt(
-                    path, delimiter=",", skiprows=skiprows, comments=None,
-                    ndmin=2, dtype=np.float64, encoding="utf-8",
-                )
-        except (ValueError, UserWarning):
-            values = None
+        values = _parse_forked(path, skiprows, width)
+        if values is None:
+            values = _loadtxt(path, skiprows)
         if values is None or values.shape[0] == 0 or values.shape[1] != width:
             values = _parse_rows([first, *rows], width)
     labels = None
@@ -234,6 +242,108 @@ def load_csv(path, label_column: Optional[str] = None) -> Dataset:
         labels = values[:, label_pos] != 0
         values = np.delete(values, label_pos, axis=1)
     return Dataset(values, labels=labels)
+
+
+def _loadtxt(source, skiprows: int = 0) -> Optional[np.ndarray]:
+    """numpy's C reader on a path or an iterable of lines; None if it refuses."""
+    try:
+        with warnings.catch_warnings():
+            # "input contained no data" becomes a refusal.
+            warnings.simplefilter("error", UserWarning)
+            return np.loadtxt(
+                source, delimiter=",", skiprows=skiprows, comments=None,
+                ndmin=2, dtype=np.float64, encoding="utf-8",
+            )
+    except (ValueError, UserWarning):
+        return None
+
+
+class _Refused(Exception):
+    """A byte range the forked reader leaves to the in-process path."""
+
+
+def _parse_forked(path, skiprows: int, width: int) -> Optional[np.ndarray]:
+    """The data rows after ``skiprows`` lines, parsed by forked workers; None to parse in-process.
+
+    The data bytes are cut at line feeds into one range per usable core.
+    This process parses range 0 while worker k parses range k + 1 and sends
+    its row count, then its values' bytes, which are read into one
+    preallocated array.
+    """
+    with open(path, "rb") as handle:
+        for _ in range(skiprows):
+            line = handle.readline()
+            # Lines are counted at \n here, but the csv module that counted
+            # the header's lines also ends one at a lone \r.
+            if line.count(b"\r") > line.endswith(b"\r\n"):
+                return None
+        start = handle.tell()
+        end = handle.seek(0, os.SEEK_END)
+        parts = _fork_workers() if end - start >= PARSE_MIN_BYTES else 1
+        cuts = [start]
+        for k in range(1, parts):
+            # Cut at the first line start at or after the k-th share.
+            handle.seek(max(start + (end - start) * k // parts - 1, cuts[-1]))
+            handle.readline()
+            cuts.append(handle.tell())
+    cuts.append(end)
+    ranges = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
+    if len(ranges) < 2:
+        return None
+    shares = [(path, lo, hi, width) for lo, hi in ranges[1:]]
+    try:
+        with _forked(_send_range, shares, "reader") as receive:
+            first = _parse_range(path, *ranges[0], width)
+            counts = [len(first)] + [receive(k) for k in range(len(shares))]
+            values = np.empty((sum(counts), width), dtype=np.float64)
+            values[: counts[0]] = first
+            del first
+            row = counts[0]
+            for k, count in enumerate(counts[1:]):
+                block = memoryview(values[row : row + count]).cast("B")
+                while block:
+                    block = block[receive(k, into=block) :]
+                row += count
+            return values
+    except _Refused:
+        return None
+
+
+def _parse_range(path, lo: int, hi: int, width: int) -> np.ndarray:
+    """Parse the lines in bytes ``[lo, hi)``; raise ``_Refused`` unless all are ``width`` numbers."""
+    with open(path, "rb") as handle:
+        handle.seek(lo)
+        values = _loadtxt(_decoded_lines(handle, hi - lo))
+    if values is None or values.shape[0] == 0 or values.shape[1] != width:
+        raise _Refused
+    return values
+
+
+def _decoded_lines(handle, size: int):
+    """The lines in the next ``size`` bytes, as text.
+
+    numpy refuses a line with a lone carriage return inside it, and reads
+    one at the end of the file as a line end, as the in-process path does.
+    """
+    while size > 0:
+        line = handle.readline(size)
+        if not line:
+            break
+        size -= len(line)
+        yield line.decode("utf-8")
+
+
+def _send_range(sender, path, lo: int, hi: int, width: int) -> None:
+    """Worker: send the row count of its range, then the values' bytes in blocks.
+
+    ``recv_bytes_into`` stages each message whole before copying it out, so
+    blocks keep the receiver's copy to one block rather than the range.
+    """
+    values = _parse_range(path, lo, hi, width)
+    sender.send(len(values))
+    data, step = memoryview(values).cast("B"), BLOCK_CELLS * values.itemsize
+    for i in range(0, len(data), step):
+        sender.send_bytes(data[i : i + step])
 
 
 def write_csv(dataset: Dataset, path) -> None:
@@ -286,46 +396,79 @@ def _write_table(path, header: str, dataset: Dataset, n_cells: int, format_rows)
 def _formatted_blocks(format_rows, dataset: Dataset, bounds: list, n_cells: int):
     """Yield an iterator over the encoded blocks, in row order.
 
-    A table of at least ``POOL_MIN_CELLS`` cells, on a host with a second
-    usable core and the ``fork`` start method, in a process with no other
-    thread, is formatted by one forked worker per usable core. Worker k
-    formats blocks k, k + W, ... and sends each through its own pipe, so the
-    table reaches it through the fork and the parent holds about one block
-    at a time. Each block is formatted the same way wherever it runs, so the
-    bytes do not depend on the worker count. A worker's error is raised
-    here, as is the death of a worker. Every worker is joined before the
-    block exits.
+    A table of at least ``POOL_MIN_CELLS`` cells, where ``_fork_workers``
+    allows two or more, is formatted by one forked worker per usable core.
+    Worker k formats blocks k, k + W, ... and sends each through its own
+    pipe, so the table reaches it through the fork and the parent holds
+    about one block at a time. Each block is formatted the same way wherever
+    it runs, so the bytes do not depend on the worker count.
     """
-    try:
-        workers = len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        workers = os.cpu_count() or 1
-    workers = min(workers, len(bounds))
-    if (
-        n_cells < POOL_MIN_CELLS
-        or workers < 2
-        or "fork" not in multiprocessing.get_all_start_methods()
-        # A fork copies only this thread, so a lock another thread holds
-        # would stay held in the worker forever.
-        or threading.active_count() > 1
-    ):
+    workers = min(_fork_workers(), len(bounds)) if n_cells >= POOL_MIN_CELLS else 1
+    if workers < 2:
         yield (format_rows(dataset, lo, hi).encode("utf-8") for lo, hi in bounds)
         return
+    shares = [(format_rows, dataset, bounds[k::workers]) for k in range(workers)]
+    with _forked(_send_blocks, shares, "writer") as receive:
+        yield (receive(i % workers) for i in range(len(bounds)))
+
+
+def _send_blocks(sender, format_rows, dataset: Dataset, bounds: list) -> None:
+    """Worker: send each block's encoded text."""
+    for lo, hi in bounds:
+        sender.send(format_rows(dataset, lo, hi).encode("utf-8"))
+
+
+def _fork_workers() -> int:
+    """How many forked workers may share a job here: one per usable core.
+
+    1 (work in-process) without the ``fork`` start method or while another
+    thread runs: a fork copies only this thread, so a lock another thread
+    holds would stay held in the worker forever.
+    """
+    if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def _forked(work, shares: list, role: str):
+    """Run ``work(sender, *share)`` in one forked worker per share.
+
+    Yields ``receive(k, into=None)``: worker k's next message, or with
+    ``into`` the byte count of its next bytes message, read into that
+    writable buffer. A message that is an exception is raised, as a
+    ``RuntimeError`` is for a worker that died. The workers are terminated
+    on any error and always joined before the block exits.
+    """
     context = multiprocessing.get_context("fork")
     processes, pipes = [], []
+
+    def receive(k: int, into=None):
+        try:
+            message = pipes[k].recv() if into is None else pipes[k].recv_bytes_into(into)
+        except EOFError:
+            processes[k].join()
+            raise RuntimeError(
+                f"a {role} worker exited with code {processes[k].exitcode}"
+            ) from None
+        if isinstance(message, Exception):
+            raise message
+        return message
+
     try:
-        for k in range(workers):
+        for share in shares:
             receiver, sender = context.Pipe(duplex=False)
             pipes.append(receiver)
-            process = context.Process(
-                target=_send_blocks, args=(sender, format_rows, dataset, bounds[k::workers])
-            )
+            process = context.Process(target=_run_worker, args=(sender, work, share))
             try:
                 process.start()
             finally:
                 sender.close()
             processes.append(process)
-        yield _received_blocks(pipes, processes, len(bounds))
+        yield receive
     except BaseException:
         for process in processes:
             process.terminate()
@@ -337,29 +480,12 @@ def _formatted_blocks(format_rows, dataset: Dataset, bounds: list, n_cells: int)
             receiver.close()
 
 
-def _send_blocks(sender, format_rows, dataset: Dataset, bounds: list) -> None:
-    """Worker: send each block's encoded text, or the error that stopped it."""
+def _run_worker(sender, work, share: tuple) -> None:
+    """Worker: run ``work``, or send the error that stopped it."""
     try:
-        for lo, hi in bounds:
-            sender.send(format_rows(dataset, lo, hi).encode("utf-8"))
+        work(sender, *share)
     except Exception as exc:
         sender.send(exc)
-
-
-def _received_blocks(pipes: list, processes: list, n_blocks: int):
-    """Block i from worker i mod W, in row order; raise what stopped a worker."""
-    for i in range(n_blocks):
-        k = i % len(pipes)
-        try:
-            block = pipes[k].recv()
-        except EOFError:
-            processes[k].join()
-            raise RuntimeError(
-                f"a writer worker exited with code {processes[k].exitcode}"
-            ) from None
-        if isinstance(block, Exception):
-            raise block
-        yield block
 
 
 def synth_gaussian_with_outliers(

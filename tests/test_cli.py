@@ -2,6 +2,8 @@
 
 import argparse
 import csv
+import hashlib
+import multiprocessing
 import os
 import re
 import subprocess
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 import repen
+from repen import ingest
 from repen.cli import (
     _EXPERIMENT_DEFAULTS,
     _PIPELINE_DEFAULTS,
@@ -466,6 +469,48 @@ class TestDownsampleCommand:
         assert rc == 1
         assert len(err) == 1 and err[0].startswith(f"error: line {line}: field larger")
         assert not out.exists()
+
+
+def test_forked_csv_reader_writes_identical_artifacts(tmp_path, monkeypatch, thread_env):
+    """pipeline, score and downsample write the same bytes whether the CSV reader forks."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("no fork start method")
+    data = _write_synth(tmp_path, "csv", n_inliers=98, n_outliers=20)
+    size = data.stat().st_size
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    forked, parse = [], ingest._parse_forked
+
+    def recorded(*args):
+        values = parse(*args)
+        forked.append(values is not None)
+        return values
+
+    monkeypatch.setattr(ingest, "_parse_forked", recorded)
+    digests = []
+    # The data rows are below the first threshold and above the second.
+    for threshold in (size, size // 2):
+        monkeypatch.setattr(ingest, "PARSE_MIN_BYTES", threshold)
+        out = tmp_path / f"t{threshold}"
+        assert main([
+            "--deterministic", "pipeline", "--input", str(data), "--output-dir",
+            str(out / "run"), "--label-column", "label", "--rep-dim", "6", "--n-epochs", "2",
+            "--samples-per-epoch", "256", "--batch-size", "64", "--rng-seed", "3",
+        ]) == 0
+        assert main([
+            "--deterministic", "score", "--model", str(out / "run" / "model.repen"),
+            "--input", str(data), "--label-column", "label", "--output",
+            str(out / "scores.csv"), "--seed", "4",
+        ]) == 0
+        assert main([
+            "--deterministic", "downsample", "--input", str(data), "--label-column", "label",
+            "--rate", "0.05", "--seed", "1", "--output", str(out / "down.csv"),
+        ]) == 0
+        names = ["run/model.repen", "run/scores.csv", "run/embedded.csv", "run/auc.txt",
+                 "scores.csv", "down.csv"]
+        digests.append({n: hashlib.sha256((out / n).read_bytes()).hexdigest() for n in names})
+    assert forked == [False] * 3 + [True] * 3
+    assert digests[0] == digests[1]
+    assert multiprocessing.active_children() == []
 
 
 class TestExperimentCommand:

@@ -146,6 +146,8 @@ DIFFERENTIAL_CASES = {
     "nan_inf_infinity": "a,b,y\nnan,inf,Infinity\n-nan,-inf,-Infinity\n",
     "crlf": "a,y\r\n1,2\r\n3,4\r\n",
     "cr_only": "a,y\r1,2\r3,4\r",
+    "cr_header_then_lf": "a,y\r1,2\n3,4\n5,6\n",
+    "lone_cr_in_data": "a,y\n1,2\n3,4\r5,6\n",
     "no_final_newline": "a,y\n1,2\n3,4",
     "blank_lines_before_header": "\n\n\na,y\n\n1,2\n3,4\n",
     "header_only": "a,y\n",
@@ -187,6 +189,18 @@ class TestCsvReaderPaths:
         monkeypatch.setattr(np, "loadtxt", refuse)
         assert _outcome(path, label_column) == fast
 
+    @pytest.mark.parametrize("label_column", [None, "y"])
+    @pytest.mark.parametrize(
+        "text", DIFFERENTIAL_CASES.values(), ids=DIFFERENTIAL_CASES.keys()
+    )
+    def test_forked_reader_matches_in_process(self, tmp_path, monkeypatch, text, label_column):
+        path = tmp_path / "x.csv"
+        path.write_bytes(text.encode("utf-8"))
+        in_process = _outcome(path, label_column)
+        _force_workers(monkeypatch)
+        assert _outcome(path, label_column) == in_process
+        assert multiprocessing.active_children() == []
+
     def test_well_formed_file_skips_the_loop(self, tmp_path, monkeypatch):
         def unused(*args, **kwargs):
             raise AssertionError("the per-cell loop ran")
@@ -220,13 +234,14 @@ def _csr(rng, n, d, per_row, empty_rows=()):
     return sp.csr_matrix((rng.standard_normal(cols.size), cols, indptr), shape=(n, d))
 
 
-def _force_workers(monkeypatch):
-    """Send every write to two forked workers, in blocks of a few cells."""
+def _force_workers(monkeypatch, cores=2):
+    """Send every write and CSV parse to ``cores`` forked workers, in blocks of a few cells."""
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("no fork start method")
     monkeypatch.setattr(ingest, "POOL_MIN_CELLS", 0)
+    monkeypatch.setattr(ingest, "PARSE_MIN_BYTES", 0)
     monkeypatch.setattr(ingest, "BLOCK_CELLS", 7)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
 
 
 @pytest.fixture
@@ -355,6 +370,132 @@ class TestWriterWorkers:
             tracemalloc.stop()
         assert peak < 0.25 * n * d * 8, peak / (n * d * 8)
         assert datasets_equal(load_csv(path, label_column="label"), ds)
+
+
+def _parent_ranges(monkeypatch) -> list:
+    """Record the byte ranges this process parses itself; workers' calls are not seen."""
+    calls, parse = [], ingest._parse_range
+
+    def recorded(path, lo, hi, width):
+        calls.append((lo, hi))
+        return parse(path, lo, hi, width)
+
+    monkeypatch.setattr(ingest, "_parse_range", recorded)
+    return calls
+
+
+class TestReaderWorkers:
+    """``load_csv`` gives the same values in-process and with forked workers."""
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    @pytest.mark.parametrize("label_column", [None, "label"])
+    def test_forked_values_match_in_process(self, tmp_path, rng, monkeypatch, cores, label_column):
+        values = rng.standard_normal((41, 6))
+        values[-len(EDGE_FLOATS) :, 2] = EDGE_FLOATS  # in the last range
+        path = tmp_path / "t.csv"
+        write_csv(Dataset(values, labels=rng.random(41) < 0.3), path)
+        with open(path, "ab") as handle:
+            handle.write(b"\n\n")  # blank lines at the end of the last range
+        in_process, table = _outcome(path, label_column), _outcome(path, None)
+        _force_workers(monkeypatch, cores)
+        assert _outcome(path, label_column) == in_process
+        # The forked path itself gave them: no range was refused.
+        forked = ingest._parse_forked(path, 1, 7)
+        assert (forked.shape, forked.view(np.int64).tolist(), None) == table
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("where", ["worker", "dead_worker"])
+    def test_worker_errors_propagate_and_no_worker_outlives_the_load(
+        self, tmp_path, rng, monkeypatch, forked, where
+    ):
+        write_csv(Dataset(rng.standard_normal((40, 3))), tmp_path / "x.csv")
+        parent, parse = os.getpid(), ingest._parse_range
+
+        def broken(path, lo, hi, width):
+            if os.getpid() == parent:
+                return parse(path, lo, hi, width)
+            if where == "dead_worker":
+                os._exit(3)
+            raise RuntimeError(f"range {lo} failed in {os.getpid()}")
+
+        monkeypatch.setattr(ingest, "_parse_range", broken)
+        if where == "worker":
+            with pytest.raises(RuntimeError, match="^range [0-9]+ failed in ") as caught:
+                load_csv(tmp_path / "x.csv")
+            assert str(parent) not in str(caught.value)
+        else:
+            with pytest.raises(RuntimeError, match="^a reader worker exited with code 3$"):
+                load_csv(tmp_path / "x.csv")
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("host", ["one_core", "no_fork", "other_thread"])
+    def test_parses_in_process_without_a_second_core_fork_or_sole_thread(
+        self, tmp_path, rng, monkeypatch, forked, host
+    ):
+        if host == "one_core":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        elif host == "no_fork":
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        values = rng.standard_normal((40, 3))
+        write_csv(Dataset(values), tmp_path / "p.csv")
+        parsed = _parent_ranges(monkeypatch)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(60,))
+        if host == "other_thread":
+            other.start()
+        try:
+            back = load_csv(tmp_path / "p.csv")
+        finally:
+            release.set()
+            if other.is_alive():
+                other.join()
+        assert parsed == []
+        assert back.values.view(np.int64).tolist() == values.view(np.int64).tolist()
+
+    def test_only_data_bytes_at_the_threshold_fork(self, tmp_path, rng, monkeypatch, forked):
+        path = tmp_path / "s.csv"
+        write_csv(Dataset(rng.standard_normal((40, 3))), path)
+        data_bytes = path.stat().st_size - len("f0,f1,f2\n")
+        parsed = _parent_ranges(monkeypatch)
+        # Above the data rows' size, though not the file's: in-process.
+        monkeypatch.setattr(ingest, "PARSE_MIN_BYTES", data_bytes + 1)
+        load_csv(path)
+        assert parsed == []
+        monkeypatch.setattr(ingest, "PARSE_MIN_BYTES", data_bytes)
+        load_csv(path)
+        assert len(parsed) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_forks_exactly_when_this_host_has_a_second_core(self, tmp_path, rng, monkeypatch):
+        # No affinity patch: under `taskset -c 0` this takes the one-core path.
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no fork start method")
+        monkeypatch.setattr(ingest, "PARSE_MIN_BYTES", 0)
+        values = rng.standard_normal((40, 3))
+        write_csv(Dataset(values), tmp_path / "h.csv")
+        parsed = _parent_ranges(monkeypatch)
+        back = load_csv(tmp_path / "h.csv")
+        assert len(parsed) == (ingest._fork_workers() > 1)
+        assert back.values.view(np.int64).tolist() == values.view(np.int64).tolist()
+        assert multiprocessing.active_children() == []
+
+    def test_parent_holds_the_table_and_its_own_range_only(self, tmp_path, rng, monkeypatch):
+        n, d = 8000, 50
+        values = rng.standard_normal((n, d))
+        write_csv(Dataset(values), tmp_path / "m.csv")
+        _force_workers(monkeypatch)
+        parsed = _parent_ranges(monkeypatch)
+        tracemalloc.start()
+        try:
+            back = load_csv(tmp_path / "m.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The result plus the parent's half while it is copied in; a copy
+        # of a worker's range or of the range's text would exceed this.
+        assert peak < 1.55 * n * d * 8, peak / (n * d * 8)
+        assert len(parsed) == 1
+        assert back.values.view(np.int64).tolist() == values.view(np.int64).tolist()
 
 
 class TestSynthGenerator:
