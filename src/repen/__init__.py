@@ -18,7 +18,6 @@ _EXPORTS = {
     "Dataset": "data",
     "OutlierScores": "data",
     "RepresentationModel": "data",
-    "Triplet": "data",
     "validate": "data",
     "auc": "evaluation",
     "downsample_to_rate": "ingest",
@@ -31,18 +30,15 @@ _EXPORTS = {
     "TrainReport": "learner",
     "adadelta_step": "learner",
     "load_model": "learner",
-    "loss_gradient": "learner",
     "save_model": "learner",
     "train": "learner",
     "transform": "learner",
-    "triplet_loss": "learner",
     "HyperParams": "params",
     "SpConfig": "params",
     "PipelineResult": "pipeline",
     "run_pipeline": "pipeline",
     "negative_sampling_weights": "sampling",
     "query_sampling_weights": "sampling",
-    "nn_dist": "sp",
     "sp_score": "sp",
     "sp_score_embedded": "sp",
     "sp_score_with_subsamples": "sp",

@@ -8,7 +8,8 @@ Subcommands:
     downsample  subsample the outlier class of a labeled dataset to a target rate
     score       apply a saved model and the detector to a dataset
 
-Configuration is a flat ``key = value`` text file ('#' starts a comment);
+Configuration is a flat ``key = value`` text file ('#' at the start of a
+line or after whitespace starts a comment, so a path may hold a '#');
 command-line flags override file values. The settings, their types and
 their defaults come from ``repen.params``. Every pipeline or experiment run
 writes a ``manifest.cfg`` of all resolved settings, sufficient to reproduce
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -32,6 +34,9 @@ from pathlib import Path
 from .params import ExperimentParams, HyperParams, SpConfig
 
 _THREAD_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+# A '#' starts a comment at the start of a line or after whitespace.
+_COMMENT = re.compile(r"(?:^|\s)#")
 
 _BOOLEANS = {
     **dict.fromkeys(("1", "true", "yes", "on"), True),
@@ -44,7 +49,7 @@ def parse_config_file(path: str) -> dict:
     settings = {}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
+            line = _COMMENT.split(raw, maxsplit=1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
@@ -224,9 +229,11 @@ def cmd_score(args: argparse.Namespace) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     _write_scores_csv(out, scores)
     if dataset.labels is not None:
-        from .evaluation import auc
+        from .evaluation import masked_auc
 
-        print(f"auc = {auc(scores.scores, dataset.labels):.4f}")
+        value = masked_auc(scores, dataset)
+        if value is not None:
+            print(f"auc = {value:.4f}")
     print(f"wrote scores to {out}")
     return 0
 
@@ -256,16 +263,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     artifacts = []
 
     if kind == "scalability":
-        rows = experiments.run_scalability(
-            params,
-            sizes=exp.sizes,
-            dims=exp.dims,
-            size_sweep_dim=exp.size_sweep_dim,
-            dim_sweep_size=exp.dim_sweep_size,
-            outlier_rate=exp.outlier_rate,
-            d_relevant=exp.d_relevant,
-            separation=exp.separation,
-        )
+        rows = experiments.run_scalability(params, exp)
         csv_path = out_dir / "scalability_rows.csv"
         write_rows_csv(csv_path, rows, SCALABILITY_HEADER)
         write_gnuplot_script(

@@ -70,17 +70,6 @@ class Dataset:
     def is_sparse(self) -> bool:
         return sp.issparse(self.values)
 
-    def to_dense(self) -> np.ndarray:
-        """Return the data as a dense (N, D) float64 array."""
-        if self.is_sparse:
-            return self.values.toarray()
-        return self.values
-
-    def as_sparse(self) -> "Dataset":
-        """Return a CSR-backed copy of this dataset (labels shared)."""
-        values = self.values if self.is_sparse else sp.csr_matrix(self.values)
-        return Dataset(values, self.labels, self.known_outliers)
-
     def take(self, indices) -> "Dataset":
         """Return a new dataset containing only the given rows, in order."""
         idx = np.asarray(indices, dtype=np.int64)
@@ -161,22 +150,6 @@ class OutlierScores:
     def __len__(self) -> int:
         return self.scores.shape[0]
 
-    def violations(self) -> list[str]:
-        """Return invariant violations (empty list when consistent)."""
-        issues = []
-        if not np.all(np.isfinite(self.scores)):
-            issues.append("non-finite scores")
-            return issues
-        if np.any(self.scores < 0):
-            issues.append("negative scores")
-        mean, std = float(self.scores.mean()), float(self.scores.std())
-        scale = max(abs(mean), 1e-300)
-        if abs(mean - self.mean) > 1e-9 * scale:
-            issues.append("stored mean disagrees with recomputed mean")
-        if abs(std - self.std) > 1e-9 * max(std, 1e-300):
-            issues.append("stored std disagrees with recomputed std")
-        return issues
-
 
 @dataclass
 class CandidateSets:
@@ -188,38 +161,6 @@ class CandidateSets:
     def __post_init__(self):
         self.outlier_idx = _as_index_array(self.outlier_idx)
         self.inlier_idx = _as_index_array(self.inlier_idx)
-
-    @property
-    def n_objects(self) -> int:
-        return self.outlier_idx.size + self.inlier_idx.size
-
-    def violations(self) -> list[str]:
-        issues = []
-        if np.intersect1d(self.outlier_idx, self.inlier_idx).size:
-            issues.append("candidate sets overlap")
-        union = np.union1d(self.outlier_idx, self.inlier_idx)
-        if union.size and not np.array_equal(union, np.arange(union[-1] + 1)):
-            issues.append("candidate sets do not cover [0, N)")
-        if self.inlier_idx.size == 0:
-            issues.append("inlier candidate set is empty")
-        return issues
-
-
-@dataclass(frozen=True)
-class Triplet:
-    """One training sample: a query index list, a positive and a negative.
-
-    Queries and the positive come from the inlier candidates; the negative
-    comes from the outlier candidates or from the labeled-outlier pool.
-    """
-
-    query: tuple[int, ...]
-    positive: int
-    negative: int
-
-    def __post_init__(self):
-        if len(self.query) < 1:
-            raise ValueError("query set must contain at least one index")
 
 
 class RepresentationModel:

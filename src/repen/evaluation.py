@@ -1,19 +1,20 @@
 """Ranking quality and result tables.
 
-``auc`` is the reported detection quality. ``RESULT_HEADER`` and
-``SCALABILITY_HEADER`` fix the experiment tables' columns, which
+``auc`` is the reported detection quality, and ``masked_auc`` decides
+which rows it covers and whether it is reported at all. ``RESULT_HEADER``
+and ``SCALABILITY_HEADER`` fix the experiment tables' columns, which
 ``write_rows_csv`` writes byte-deterministically; ``write_gnuplot_script``
 plots one table.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.stats import rankdata
 
-from .data import OutlierScores
+from .data import Dataset, OutlierScores
 
 # Fixed schema for experiment result tables.
 RESULT_HEADER = (
@@ -56,6 +57,19 @@ def auc(scores, labels) -> float:
         raise ValueError("AUC needs at least one outlier and one inlier label")
     ranks = rankdata(scores)
     return float((ranks[labels].sum() - n_out * (n_out + 1) / 2.0) / (n_out * n_in))
+
+
+def masked_auc(scores: OutlierScores, dataset: Dataset) -> Optional[float]:
+    """AUC over the labeled rows that are not known outliers; None unless both classes remain."""
+    if dataset.labels is None:
+        return None
+    mask = np.ones(dataset.n_objects, dtype=bool)
+    if dataset.known_outliers is not None:
+        mask[dataset.known_outliers] = False
+    labels = dataset.labels[mask]
+    if labels.all() or not labels.any():
+        return None
+    return auc(scores.scores[mask], labels)
 
 
 def _format_cell(value) -> str:

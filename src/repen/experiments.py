@@ -3,11 +3,12 @@ representation-dimension sweeps, and scalability measurements.
 
 Each protocol is a loop over ``pipeline.run_pipeline``: it runs no stage
 of its own and times nothing itself. Repeat r runs with ``rng_seed + r``.
-The protocols' keyword defaults come from ``params.ExperimentParams``, and
-its ``validate`` checks their arguments before any run starts. The
-labeled-outlier curve and the dimension sweep compute the original-space
-stage once per repeat and share it across every l or M, since it depends
-only on the data and the seed.
+The protocols' settings and their defaults come from
+``params.ExperimentParams`` (``run_scalability`` takes one whole), and its
+``validate`` checks them before any run starts. The labeled-outlier curve
+and the dimension sweep compute the original-space stage once per repeat
+and share it across every l or M, since it depends only on the data and
+the seed.
 
 Result rows follow the fixed schema of ``evaluation.RESULT_HEADER``. A
 row's ``detect_seconds`` is the scoring stage of the run that produced it,
@@ -179,30 +180,21 @@ def _scalability_cell(
     }
 
 
-def run_scalability(
-    params: HyperParams,
-    sizes: Sequence[int] = ExperimentParams.sizes,
-    dims: Sequence[int] = ExperimentParams.dims,
-    size_sweep_dim: int = ExperimentParams.size_sweep_dim,
-    dim_sweep_size: int = ExperimentParams.dim_sweep_size,
-    outlier_rate: float = ExperimentParams.outlier_rate,
-    d_relevant: int = ExperimentParams.d_relevant,
-    separation: float = ExperimentParams.separation,
-) -> list[dict]:
+def run_scalability(params: HyperParams, settings: ExperimentParams) -> list[dict]:
     """Total pipeline wall time on synthetic data along the N and D axes.
 
-    ``sizes`` sweeps the object count at ``size_sweep_dim`` features;
-    ``dims`` sweeps the feature count at ``dim_sweep_size`` objects. Each
-    cell is the per-stage median over three ``run_pipeline`` runs.
+    ``settings.sizes`` sweeps the object count at ``size_sweep_dim``
+    features; ``settings.dims`` sweeps the feature count at
+    ``dim_sweep_size`` objects. Each cell is the per-stage median over
+    three ``run_pipeline`` runs.
     """
-    settings = ExperimentParams(
-        sizes=sizes, dims=dims, size_sweep_dim=size_sweep_dim,
-        dim_sweep_size=dim_sweep_size, outlier_rate=outlier_rate,
-        d_relevant=d_relevant, separation=separation,
-    )
     settings.validate()
-    rows = [_scalability_cell(n, size_sweep_dim, params, "size", settings) for n in sizes]
+    rows = [
+        _scalability_cell(n, settings.size_sweep_dim, params, "size", settings)
+        for n in settings.sizes
+    ]
     rows += [
-        _scalability_cell(dim_sweep_size, d, params, "dimension", settings) for d in dims
+        _scalability_cell(settings.dim_sweep_size, d, params, "dimension", settings)
+        for d in settings.dims
     ]
     return rows

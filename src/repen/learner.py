@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .data import CandidateSets, Dataset, OutlierScores, RepresentationModel, Triplet
+from .data import CandidateSets, Dataset, OutlierScores, RepresentationModel
 from .params import HyperParams
 from .sampling import sample_batch_arrays, sampling_pools
 
@@ -174,39 +174,6 @@ def _batch_loss_grad(
 
     grad = np.asarray(block.T @ coeff) / b
     return losses, grad
-
-
-def _triplet_arrays(triplet: Triplet):
-    q = np.asarray([triplet.query], dtype=np.int64)
-    p = np.asarray([triplet.positive], dtype=np.int64)
-    g = np.asarray([triplet.negative], dtype=np.int64)
-    return q, p, g
-
-
-def _values_of(data) -> object:
-    return data.values if isinstance(data, Dataset) else data
-
-
-def triplet_loss(model: RepresentationModel, data, triplet: Triplet, margin: float) -> float:
-    """Hinge ranking loss of one triplet against the dataset's rows."""
-    if margin <= 0:
-        raise ValueError(f"margin > 0 required, got {margin}")
-    q, p, g = _triplet_arrays(triplet)
-    losses, _ = _batch_loss_grad(
-        _values_of(data), model.weights, q, p, g, margin, want_grad=False
-    )
-    return float(losses[0])
-
-
-def loss_gradient(
-    model: RepresentationModel, data, triplet: Triplet, margin: float
-) -> np.ndarray:
-    """Exact (D, M) subgradient of ``triplet_loss`` with respect to the weights."""
-    if margin <= 0:
-        raise ValueError(f"margin > 0 required, got {margin}")
-    q, p, g = _triplet_arrays(triplet)
-    _, grad = _batch_loss_grad(_values_of(data), model.weights, q, p, g, margin)
-    return np.zeros_like(model.weights) if grad is None else grad
 
 
 @dataclass

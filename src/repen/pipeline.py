@@ -17,7 +17,7 @@ import numpy as np
 
 from . import learner, sp
 from .data import CandidateSets, Dataset, OutlierScores, RepresentationModel, require_valid
-from .evaluation import auc
+from .evaluation import masked_auc
 from .params import HyperParams
 from .thresholding import candidate_sets
 
@@ -59,19 +59,6 @@ class PipelineResult:
     def offline_seconds(self) -> float:
         """Seconds of every stage before embedded scoring (the offline phase)."""
         return sum(self.stage_seconds.values()) - self.stage_seconds["score_embedded"]
-
-
-def _masked_auc(scores: OutlierScores, dataset: Dataset) -> Optional[float]:
-    """AUC over the labeled rows that are not known outliers, if both classes remain."""
-    if dataset.labels is None:
-        return None
-    mask = np.ones(dataset.n_objects, dtype=bool)
-    if dataset.known_outliers is not None:
-        mask[dataset.known_outliers] = False
-    labels = dataset.labels[mask]
-    if labels.all() or not labels.any():
-        return None
-    return auc(scores.scores[mask], labels)
 
 
 def original_stage(dataset: Dataset, params: HyperParams) -> OriginalStage:
@@ -123,8 +110,8 @@ def run_pipeline(
         report=report,
         embedded=embedded,
         embedded_scores=embedded_scores,
-        auc_original=_masked_auc(original.scores, dataset),
-        auc_embedded=_masked_auc(embedded_scores, embedded),
+        auc_original=masked_auc(original.scores, dataset),
+        auc_embedded=masked_auc(embedded_scores, embedded),
         stage_seconds={
             **original.seconds,
             "train": t1 - t0,

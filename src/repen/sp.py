@@ -32,36 +32,6 @@ from .params import SpConfig
 BLOCK_ENTRIES = 1 << 22
 
 
-def nn_dist(query, subsample, query_index=None, subsample_indices=None) -> float:
-    """Minimum squared Euclidean distance from ``query`` to the subsample.
-
-    When both ``query_index`` and ``subsample_indices`` are given, any
-    subsample member with the query's own index is excluded; if that leaves
-    no candidates the distance is 0.
-
-    Raises:
-        ValueError: on an empty subsample or mismatched dimensions.
-    """
-    query = np.asarray(query, dtype=np.float64)
-    members = np.asarray(subsample, dtype=np.float64)
-    if members.ndim == 1:
-        members = members.reshape(1, -1)
-    if members.shape[0] == 0:
-        raise ValueError("subsample must be non-empty")
-    if members.shape[1] != query.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: query has {query.shape[0]} features, "
-            f"subsample has {members.shape[1]}"
-        )
-    keep = np.ones(members.shape[0], dtype=bool)
-    if query_index is not None and subsample_indices is not None:
-        keep = np.asarray(subsample_indices) != query_index
-        if not keep.any():
-            return 0.0
-    diff = members[keep] - query
-    return float(np.min(np.einsum("ij,ij->i", diff, diff)))
-
-
 def draw_subsamples(n_objects: int, config: SpConfig) -> list[np.ndarray]:
     """Draw the ensemble's subsample index lists from member-indexed streams.
 

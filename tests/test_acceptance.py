@@ -13,26 +13,24 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from repen.data import (
-    CandidateSets,
-    Dataset,
-    HyperParams,
-    OutlierScores,
-    RepresentationModel,
-    Triplet,
-)
+from repen.data import CandidateSets, Dataset, HyperParams, OutlierScores
 from repen.evaluation import auc
 from repen.experiments import run_labeled_curve
 from repen.ingest import synth_gaussian_with_outliers
-from repen.learner import loss_gradient, train, transform, triplet_loss
+from repen.learner import _batch_loss_grad, train, transform
 from repen.pipeline import run_pipeline, stage_seeds
 from repen.sampling import sample_batch_arrays, sampling_pools
 from repen.sp import SpConfig, draw_subsamples, sp_score
 from repen.thresholding import candidate_sets, cantelli_bound, cantelli_partition
 from repen.cli import main as cli_main
 
-from conftest import nn_dist_reference, pairwise_auc_oracle
-from test_learner import finite_difference_gradient, relative_gradient_error
+from conftest import (
+    finite_difference_gradient,
+    nn_dist_reference,
+    one_triplet,
+    pairwise_auc_oracle,
+    relative_gradient_error,
+)
 
 
 def _passline(criterion: str) -> None:
@@ -51,23 +49,22 @@ class TestCriterion01GradientOracle:
             m = int(rng.integers(1, min(5, d) + 1))
             n = int(rng.integers(1, 4))
             rows = n + 2
-            data = Dataset(rng.standard_normal((rows, d)))
+            values = rng.standard_normal((rows, d))
             order = rng.permutation(rows)
-            triplet = Triplet(
-                tuple(int(i) for i in order[:n]), int(order[n]), int(order[n + 1])
-            )
-            model = RepresentationModel(rng.standard_normal((d, m)) * 0.7)
+            batch = one_triplet(order[:n], order[n], order[n + 1])
+            weights = rng.standard_normal((d, m)) * 0.7
             margin = float(rng.uniform(2.0, 20.0))
-            loss = triplet_loss(model, data, triplet, margin)
+            losses, grad = _batch_loss_grad(values, weights, *batch, margin)
+            loss = float(losses[0])
             # Keep the oracle clear of the hinge kink so h = 1e-5 cannot
             # step across it; both active and flat instances are exercised.
-            emb = np.maximum(data.values @ model.weights, 0.0)
-            d_pos = ((emb[triplet.positive] - emb[list(triplet.query)]) ** 2).sum(1).min()
-            d_neg = ((emb[triplet.negative] - emb[list(triplet.query)]) ** 2).sum(1).min()
+            emb = np.maximum(values @ weights, 0.0)
+            d_pos = ((emb[order[n]] - emb[order[:n]]) ** 2).sum(1).min()
+            d_neg = ((emb[order[n + 1]] - emb[order[:n]]) ** 2).sum(1).min()
             if abs(margin + d_pos - d_neg) < 0.5:
                 continue
-            analytic = loss_gradient(model, data, triplet, margin)
-            numeric = finite_difference_gradient(model, data, triplet, margin)
+            analytic = np.zeros_like(weights) if grad is None else grad
+            numeric = finite_difference_gradient(values, weights, batch, margin)
             if loss == 0.0:
                 assert np.array_equal(analytic, np.zeros_like(analytic))
                 assert np.array_equal(numeric, np.zeros_like(numeric))
@@ -298,15 +295,18 @@ class TestCriterion10ScalabilityShape:
     def test_runtime_doubles_by_at_most_2p5(self):
         """Doubling N (at D = 10,000) or D (at N = 10,000) keeps ratio in [1, 2.5]."""
         from repen.experiments import run_scalability
+        from repen.params import ExperimentParams
 
         start = time.perf_counter()
         params = HyperParams(n_epochs=5, samples_per_epoch=2560, rng_seed=3)
         rows = run_scalability(
             params,
-            sizes=(1000, 2000, 4000),
-            dims=(1250, 2500, 5000),
-            size_sweep_dim=10_000,
-            dim_sweep_size=10_000,
+            ExperimentParams(
+                sizes=(1000, 2000, 4000),
+                dims=(1250, 2500, 5000),
+                size_sweep_dim=10_000,
+                dim_sweep_size=10_000,
+            ),
         )
         size_totals = [r["total_seconds"] for r in rows if r["axis"] == "size"]
         dim_totals = [r["total_seconds"] for r in rows if r["axis"] == "dimension"]

@@ -20,6 +20,7 @@ from repen.cli import (
     _EXPERIMENT_DEFAULTS,
     _PIPELINE_DEFAULTS,
     _THREAD_ENV_VARS,
+    _write_scores_csv,
     main,
     parse_config_file,
     resolve_settings,
@@ -27,7 +28,8 @@ from repen.cli import (
 from repen.data import Dataset, RepresentationModel
 from repen.ingest import load_csv, load_libsvm, synth_gaussian_with_outliers, write_libsvm
 from repen.learner import save_model
-from repen.params import ExperimentParams, HyperParams
+from repen.params import ExperimentParams, HyperParams, SpConfig
+from repen.sp import sp_score_embedded
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -187,6 +189,27 @@ class TestPipelineCommand:
         for name in ("model.repen", "scores.csv"):
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
+    def test_manifest_with_hash_in_paths_reproduces_the_run(self, tmp_path, thread_env):
+        """A '#' inside a path is part of the value, so the manifest reruns."""
+        data = _write_synth(tmp_path, "csv")
+        (tmp_path / "d#1").mkdir()
+        data.rename(tmp_path / "d#1" / "mix.csv")
+        thread_env.chdir(tmp_path)
+        assert main([
+            "--deterministic", "pipeline", "--input", "d#1/mix.csv", "--output-dir", "run#a",
+            "--label-column", "label", "--rep-dim", "6", "--n-epochs", "2",
+            "--samples-per-epoch", "256", "--batch-size", "64", "--rng-seed", "3",
+        ]) == 0
+        manifest = parse_config_file("run#a/manifest.cfg")
+        assert (manifest["input"], manifest["output_dir"]) == ("d#1/mix.csv", "run#a")
+        names = ("model.repen", "scores.csv", "embedded.csv", "auc.txt")
+        first = {n: hashlib.sha256(Path("run#a", n).read_bytes()).hexdigest() for n in names}
+        for n in names:
+            Path("run#a", n).unlink()
+        assert main(["--deterministic", "pipeline", "--config", "run#a/manifest.cfg"]) == 0
+        again = {n: hashlib.sha256(Path("run#a", n).read_bytes()).hexdigest() for n in names}
+        assert again == first
+
     def test_sparse_libsvm_input_end_to_end(self, tmp_path):
         data = _write_synth(tmp_path, "libsvm")
         out_dir = tmp_path / "run_sparse"
@@ -215,6 +238,19 @@ class TestPipelineCommand:
         assert rc == 0
         manifest = parse_config_file(tmp_path / "cfg_run" / "manifest.cfg")
         assert manifest["rep_dim"] == "5"
+
+    def test_hash_starts_a_comment_at_line_start_or_after_whitespace(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "# a whole-line comment\n"
+            "  # an indented one\n"
+            "input = d#1/mix.csv # trailing comment\n"
+            "output_dir = run#a\t# after a tab\n"
+            "label_column = label#\n"
+        )
+        assert parse_config_file(cfg) == {
+            "input": "d#1/mix.csv", "output_dir": "run#a", "label_column": "label#",
+        }
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -265,7 +301,7 @@ class TestPipelineCommand:
 
 
 class TestScoreCommand:
-    def test_scores_saved_model(self, tmp_path):
+    def test_scores_saved_model(self, tmp_path, capsys):
         data = _write_synth(tmp_path, "csv")
         out_dir = tmp_path / "run"
         assert main([
@@ -280,9 +316,33 @@ class TestScoreCommand:
             "--output", str(scores_out), "--seed", "4",
         ])
         assert rc == 0
+        assert re.search(r"^auc = [01]\.\d{4}$", capsys.readouterr().out, re.M)
         lines = scores_out.read_text().splitlines()
         assert lines[0] == "index,score"
         assert len(lines) == 87
+
+    @pytest.mark.parametrize("label", [False, True], ids=["inliers", "outliers"])
+    def test_one_class_labels_score_without_an_auc(self, tmp_path, capsys, label):
+        """With one class there is no AUC to print; the scores are still written."""
+        rng = np.random.default_rng(7)
+        data = tmp_path / "one_class.csv"
+        ingest.write_csv(Dataset(rng.standard_normal((200, 30)), np.full(200, label)), data)
+        weights = RepresentationModel(rng.standard_normal((30, 6)))
+        model = tmp_path / "model.repen"
+        save_model(weights, model)
+        scores_out = tmp_path / "scores.csv"
+        capsys.readouterr()
+        rc = main(["score", "--model", str(model), "--input", str(data),
+                   "--label-column", "label", "--output", str(scores_out)])
+        out, err = capsys.readouterr()
+        assert (rc, err) == (0, "")
+        assert "auc" not in out
+        expected = tmp_path / "expected.csv"
+        _write_scores_csv(expected, sp_score_embedded(
+            load_csv(data, label_column="label"), weights,
+            SpConfig(HyperParams.subsample_size, HyperParams.ensemble_size, 0),
+        ))
+        assert scores_out.read_bytes() == expected.read_bytes()
 
     def test_libsvm_read_at_the_model_width(self, tmp_path, capsys):
         """A libsvm file whose rows lack the model's last feature still scores."""

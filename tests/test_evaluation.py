@@ -23,6 +23,7 @@ from repen.experiments import (
     summarize_rows,
 )
 from repen.ingest import synth_gaussian_with_outliers
+from repen.params import ExperimentParams
 from repen.pipeline import run_pipeline
 
 from conftest import pairwise_auc_oracle
@@ -202,8 +203,9 @@ class TestThinLoop:
         (lambda ds, p: run_comparison(ds, p, repeats=0), "repeats"),
         (lambda ds, p: run_labeled_curve(ds, p, l_values=[2, -1], repeats=1), "l_values"),
         (lambda ds, p: run_dim_sensitivity(ds, p, m_values=(4, 0), repeats=1), "m_values"),
-        (lambda ds, p: run_scalability(p, sizes=(), dims=(40,), dim_sweep_size=1,
-                                       d_relevant=5), "dim_sweep_size"),
+        (lambda ds, p: run_scalability(p, ExperimentParams(sizes=(), dims=(40,),
+                                                           dim_sweep_size=1, d_relevant=5)),
+         "dim_sweep_size"),
     ],
     ids=["comparison", "labeled_curve", "dim_sensitivity", "scalability"],
 )
@@ -296,8 +298,9 @@ class TestDimSensitivityProtocol:
 class TestScalabilityProtocol:
     def test_single_configuration_row(self):
         params = _fast_params(n_epochs=1, samples_per_epoch=128, batch_size=64)
-        rows = run_scalability(params, sizes=[150], dims=(), size_sweep_dim=64,
-                               d_relevant=5)
+        rows = run_scalability(
+            params, ExperimentParams(sizes=(150,), dims=(), size_sweep_dim=64, d_relevant=5)
+        )
         assert len(rows) == 1
         row = rows[0]
         assert set(SCALABILITY_HEADER) == set(row)
@@ -309,7 +312,8 @@ class TestScalabilityProtocol:
 
     def test_dimension_axis(self):
         params = _fast_params(n_epochs=1, samples_per_epoch=128, batch_size=64)
-        rows = run_scalability(params, sizes=(), dims=[32, 64], dim_sweep_size=120,
-                               d_relevant=5)
+        rows = run_scalability(
+            params, ExperimentParams(sizes=(), dims=(32, 64), dim_sweep_size=120, d_relevant=5)
+        )
         assert [row["n_features"] for row in rows] == [32, 64]
         assert all(row["axis"] == "dimension" for row in rows)

@@ -30,7 +30,7 @@ class TestLoadLibsvm:
         ds = load_libsvm(path)
         # 1-based on disk, 0-based in memory.
         assert (ds.n_objects, ds.n_features) == (2, 7)
-        dense = ds.to_dense()
+        dense = ds.values.toarray()
         assert dense[0, 2] == 0.5 and dense[0, 6] == 1.0
         assert dense[1, 0] == 2.0
         assert ds.labels.tolist() == [True, False]
@@ -74,7 +74,7 @@ class TestLoadLibsvm:
     def test_round_trip(self, tmp_path, rng):
         values = rng.standard_normal((15, 9))
         values[rng.random((15, 9)) < 0.7] = 0.0
-        ds = Dataset(values, labels=rng.random(15) < 0.3).as_sparse()
+        ds = Dataset(sp.csr_matrix(values), labels=rng.random(15) < 0.3)
         path = tmp_path / "rt.libsvm"
         write_libsvm(ds, path)
         back = load_libsvm(path, n_features_hint=9)

@@ -9,14 +9,7 @@ import pytest
 import scipy.sparse as sps
 
 from repen import learner
-from repen.data import (
-    CandidateSets,
-    Dataset,
-    HyperParams,
-    OutlierScores,
-    RepresentationModel,
-    Triplet,
-)
+from repen.data import CandidateSets, Dataset, HyperParams, OutlierScores, RepresentationModel
 from repen.ingest import synth_gaussian_with_outliers
 from repen.learner import (
     OptimizerState,
@@ -25,59 +18,34 @@ from repen.learner import (
     adadelta_step,
     initial_weights,
     load_model,
-    loss_gradient,
     save_model,
     train,
     transform,
-    triplet_loss,
 )
 from repen.pipeline import run_pipeline
 from repen.sampling import sample_batch_arrays, sampling_pools
 from repen.sp import SpConfig, sp_score
 from repen.thresholding import candidate_sets
 
-
-def finite_difference_gradient(model, data, triplet, margin, h=1e-5):
-    """Central-difference oracle for the loss gradient."""
-    w = model.weights
-    grad = np.zeros_like(w)
-    for i in range(w.shape[0]):
-        for k in range(w.shape[1]):
-            plus = w.copy()
-            plus[i, k] += h
-            minus = w.copy()
-            minus[i, k] -= h
-            grad[i, k] = (
-                triplet_loss(RepresentationModel(plus), data, triplet, margin)
-                - triplet_loss(RepresentationModel(minus), data, triplet, margin)
-            ) / (2 * h)
-    return grad
-
-
-def relative_gradient_error(analytic, numeric) -> float:
-    """Max entry error relative to the gradient scale.
-
-    A flat gradient (both sides uniformly below 1e-6) is compared with an
-    absolute 1e-8 tolerance instead, since central differences of an exactly
-    flat loss return roundoff crumbs that have no meaningful relative size.
-    """
-    diff = float(np.abs(analytic - numeric).max())
-    scale = float(max(np.abs(analytic).max(), np.abs(numeric).max()))
-    if scale < 1e-6:
-        return 0.0 if diff < 1e-8 else diff / max(scale, 1e-8)
-    return diff / scale
+from conftest import (
+    finite_difference_gradient,
+    one_triplet,
+    one_triplet_loss,
+    relative_gradient_error,
+)
 
 
 def random_instance(rng, d_max=30, m_max=5):
+    """Random (values, weights, one-triplet batch) over distinct rows."""
     d = int(rng.integers(2, d_max + 1))
     m = int(rng.integers(1, min(m_max, d) + 1))
     n = int(rng.integers(1, 4))
     n_rows = n + 2 + int(rng.integers(0, 3))
-    data = Dataset(rng.standard_normal((n_rows, d)))
+    values = rng.standard_normal((n_rows, d))
     idx = rng.choice(n_rows, size=n + 2, replace=False)
-    triplet = Triplet(tuple(int(i) for i in idx[:n]), int(idx[n]), int(idx[n + 1]))
-    model = RepresentationModel(rng.standard_normal((d, m)) * 0.7)
-    return model, data, triplet
+    batch = one_triplet(idx[:n], idx[n], idx[n + 1])
+    weights = rng.standard_normal((d, m)) * 0.7
+    return values, weights, batch
 
 
 class TestEmbed:
@@ -110,60 +78,51 @@ class TestEmbed:
 
 
 class TestTripletLoss:
-    def _identity_setup(self, points):
+    """The hinge of a one-triplet batch of ``_batch_loss_grad``."""
+
+    @staticmethod
+    def _loss(points, query, positive, negative, margin):
         # Identity weights on nonnegative points make embeddings equal inputs.
-        data = Dataset(np.asarray(points, dtype=float))
-        model = RepresentationModel(np.eye(data.n_features))
-        return model, data
+        values = np.asarray(points, dtype=float)
+        batch = one_triplet(query, positive, negative)
+        return one_triplet_loss(values, np.eye(values.shape[1]), batch, margin)
 
     def test_wide_separation_gives_zero_loss(self):
-        model, data = self._identity_setup([[0.0, 0.0], [0.0, 0.0], [50.0, 0.0]])
         # d+ = 0, d- = 2500: max(0, 1000 + 0 - 2500) = 0.
-        assert triplet_loss(model, data, Triplet((0,), 1, 2), 1000.0) == 0.0
+        points = [[0.0, 0.0], [0.0, 0.0], [50.0, 0.0]]
+        assert self._loss(points, (0,), 1, 2, 1000.0) == 0.0
 
     def test_coincident_positive_negative_gives_margin(self):
-        model, data = self._identity_setup([[1.0, 2.0], [4.0, 4.0], [4.0, 4.0]])
-        assert triplet_loss(model, data, Triplet((0,), 1, 2), 1000.0) == 1000.0
+        points = [[1.0, 2.0], [4.0, 4.0], [4.0, 4.0]]
+        assert self._loss(points, (0,), 1, 2, 1000.0) == 1000.0
 
     def test_min_over_query_set(self):
-        model, data = self._identity_setup(
-            [[0.0, 0.0], [10.0, 0.0], [9.0, 0.0], [30.0, 0.0]]
-        )
+        points = [[0.0, 0.0], [10.0, 0.0], [9.0, 0.0], [30.0, 0.0]]
         # d+ = min(81, 1) = 1 against queries (0,0) and (10,0).
-        loss = triplet_loss(model, data, Triplet((0, 1), 2, 3), 5.0)
+        loss = self._loss(points, (0, 1), 2, 3, 5.0)
         d_neg = min(900.0, 400.0)
         assert loss == max(0.0, 5.0 + 1.0 - d_neg)
 
     def test_self_match_skipped_in_min(self):
-        model, data = self._identity_setup(
-            [[0.0, 0.0], [10.0, 0.0], [30.0, 0.0]]
-        )
+        points = [[0.0, 0.0], [10.0, 0.0], [30.0, 0.0]]
         # Positive index 0 also appears in the query set: only query 1 counts.
-        loss = triplet_loss(model, data, Triplet((0, 1), 0, 2), 10.0)
+        loss = self._loss(points, (0, 1), 0, 2, 10.0)
         assert loss == max(0.0, 10.0 + 100.0 - 900.0)
 
     def test_fully_excluded_triplet_contributes_zero(self):
-        model, data = self._identity_setup([[1.0, 1.0], [9.0, 9.0]])
-        assert triplet_loss(model, data, Triplet((0,), 0, 1), 1000.0) == 0.0
+        assert self._loss([[1.0, 1.0], [9.0, 9.0]], (0,), 0, 1, 1000.0) == 0.0
 
     def test_loss_bounds(self, rng):
         # 0 <= J <= margin + d+ always; J = 0 whenever d- >= d+ + margin.
         for _ in range(100):
-            model, data, triplet = random_instance(rng)
+            values, weights, batch = random_instance(rng)
             margin = float(rng.uniform(0.5, 50.0))
-            loss = triplet_loss(model, data, triplet, margin)
+            loss = one_triplet_loss(values, weights, batch, margin)
             assert loss >= 0.0
-            emb = np.maximum(data.values @ model.weights, 0.0)
-            d_pos = min(
-                ((emb[triplet.positive] - emb[q]) ** 2).sum()
-                for q in triplet.query
-                if q != triplet.positive
-            )
-            d_neg = min(
-                ((emb[triplet.negative] - emb[q]) ** 2).sum()
-                for q in triplet.query
-                if q != triplet.negative
-            )
+            emb = np.maximum(values @ weights, 0.0)
+            query, (positive,), (negative,) = batch[0][0], batch[1], batch[2]
+            d_pos = min(((emb[positive] - emb[q]) ** 2).sum() for q in query if q != positive)
+            d_neg = min(((emb[negative] - emb[q]) ** 2).sum() for q in query if q != negative)
             assert loss <= margin + d_pos + 1e-12
             if d_neg >= d_pos + margin:
                 assert loss == 0.0
@@ -172,30 +131,28 @@ class TestTripletLoss:
 
 
 class TestLossGradient:
+    """The gradient of a one-triplet batch of ``_batch_loss_grad``."""
+
     def test_zero_when_hinge_inactive(self):
-        data = Dataset(np.array([[0.0, 0.0], [0.0, 0.0], [50.0, 0.0]]))
-        model = RepresentationModel(np.eye(2))
-        grad = loss_gradient(model, data, Triplet((0,), 1, 2), 1000.0)
-        assert np.array_equal(grad, np.zeros((2, 2)))
+        values = np.array([[0.0, 0.0], [0.0, 0.0], [50.0, 0.0]])
+        _, grad = _batch_loss_grad(values, np.eye(2), *one_triplet((0,), 1, 2), 1000.0)
+        assert grad is None  # exactly zero, so none is formed
 
     def test_zero_when_relu_dead(self, rng):
         # All pre-activations negative: active hinge but fully masked ReLU.
-        data = Dataset(np.abs(rng.standard_normal((4, 3))))
-        model = RepresentationModel(-np.ones((3, 2)))
-        triplet = Triplet((0,), 1, 2)
-        assert triplet_loss(model, data, triplet, 7.0) == 7.0
-        grad = loss_gradient(model, data, triplet, 7.0)
+        values = np.abs(rng.standard_normal((4, 3)))
+        losses, grad = _batch_loss_grad(values, -np.ones((3, 2)), *one_triplet((0,), 1, 2), 7.0)
+        assert losses.tolist() == [7.0]
         assert np.array_equal(grad, np.zeros((3, 2)))
 
     def test_matches_finite_differences(self, rng):
         checked = 0
         for _ in range(60):
-            model, data, triplet = random_instance(rng, d_max=10, m_max=4)
-            loss = triplet_loss(model, data, triplet, 5.0)
-            if loss <= 1e-3:  # keep clear of the hinge kink for the oracle
+            values, weights, batch = random_instance(rng, d_max=10, m_max=4)
+            losses, analytic = _batch_loss_grad(values, weights, *batch, 5.0)
+            if losses[0] <= 1e-3:  # keep clear of the hinge kink for the oracle
                 continue
-            analytic = loss_gradient(model, data, triplet, 5.0)
-            numeric = finite_difference_gradient(model, data, triplet, 5.0)
+            numeric = finite_difference_gradient(values, weights, batch, 5.0)
             assert relative_gradient_error(analytic, numeric) < 1e-4
             checked += 1
         assert checked >= 20
@@ -203,12 +160,11 @@ class TestLossGradient:
     def test_gradient_of_sparse_data_matches_dense(self, rng):
         values = rng.standard_normal((6, 8))
         values[rng.random((6, 8)) < 0.5] = 0.0
-        dense = Dataset(values)
-        sparse = dense.as_sparse()
-        model = RepresentationModel(rng.standard_normal((8, 3)))
-        triplet = Triplet((0, 1), 2, 3)
-        g_dense = loss_gradient(model, dense, triplet, 3.0)
-        g_sparse = loss_gradient(model, sparse, triplet, 3.0)
+        weights = rng.standard_normal((8, 3))
+        batch = one_triplet((0, 1), 2, 3)
+        g_dense = _batch_loss_grad(values, weights, *batch, 3.0)[1]
+        g_sparse = _batch_loss_grad(sps.csr_matrix(values), weights, *batch, 3.0)[1]
+        assert g_dense is not None
         np.testing.assert_allclose(g_dense, g_sparse, atol=1e-12)
 
 
@@ -544,9 +500,10 @@ class TestBatchLossGradContract:
 
     @pytest.mark.parametrize("to_values", [np.asarray, sps.csr_matrix])
     def test_loss_gradient_of_inactive_triplet_is_zero(self, to_values):
-        data = Dataset(to_values(self.VALUES))
-        grad = loss_gradient(RepresentationModel(np.eye(2)), data, Triplet((0,), 1, 2), 1000.0)
-        assert np.array_equal(grad, np.zeros((2, 2)))
+        losses, grad = _batch_loss_grad(to_values(self.VALUES), np.eye(2),
+                                        *one_triplet((0,), 1, 2), 1000.0)
+        assert losses.tolist() == [0.0]
+        assert grad is None
 
     @pytest.mark.parametrize("sparse", [False, True])
     def test_cache_gives_the_same_losses_and_gradient(self, sparse):

@@ -11,16 +11,17 @@ from repen.sp import (
     SpConfig,
     draw_subsamples,
     member_nn_dists,
-    nn_dist,
     sp_score,
     sp_score_embedded,
     sp_score_with_subsamples,
 )
 
-from conftest import nn_dist_reference
+from conftest import nn_dist, nn_dist_reference
 
 
 class TestNnDist:
+    """The per-object reference that the scoring kernel is checked against."""
+
     def test_hand_computed_minimum(self):
         # min(|| (0,0)-(3,4) ||^2, || (0,0)-(1,0) ||^2) = min(25, 1)
         assert nn_dist([0.0, 0.0], [[3.0, 4.0], [1.0, 0.0]]) == 1.0
@@ -73,7 +74,7 @@ class TestSpScore:
         values = rng.standard_normal((70, 12))
         values[rng.random((70, 12)) < 0.5] = 0.0
         dense = Dataset(values)
-        sparse = dense.as_sparse()
+        sparse = Dataset(sps.csr_matrix(values))
         a = sp_score(dense, SpConfig(rng_seed=4))
         b = sp_score(sparse, SpConfig(rng_seed=4))
         np.testing.assert_allclose(a.scores, b.scores, atol=1e-9)

@@ -82,7 +82,9 @@ class TestFallback:
         sets = candidate_sets(scores, 1.732)
         assert sets.outlier_idx.size == 2  # ceil(0.05 * 40)
         assert sets.inlier_idx.size == 38
-        assert sets.violations() == []
+        # The fallback partition is disjoint and covers [0, N).
+        assert np.intersect1d(sets.outlier_idx, sets.inlier_idx).size == 0
+        assert np.array_equal(np.union1d(sets.outlier_idx, sets.inlier_idx), np.arange(40))
 
     def test_extreme_alpha_falls_back(self):
         scores = _scores([0, 1, 2, 3])
