@@ -13,7 +13,8 @@ line or after whitespace starts a comment, so a path may hold a '#');
 command-line flags override file values. The settings, their types and
 their defaults come from ``repen.params``. Every pipeline or experiment run
 writes a ``manifest.cfg`` of all resolved settings, sufficient to reproduce
-the run bit-exactly in single-threaded mode.
+the run bit-exactly in single-threaded mode; a setting that would not read
+back from it is refused before the run starts.
 
 Thread count comes from --threads or the REPEN_THREADS environment variable
 and is applied to the BLAS thread pools before numpy loads;
@@ -90,8 +91,25 @@ def resolve_settings(args: argparse.Namespace, defaults: dict) -> dict:
 
 def write_manifest(path: Path, settings: dict) -> None:
     """Write the resolved settings as a config file that reproduces the run."""
-    lines = [f"{key} = {_manifest_value(settings[key])}" for key in sorted(settings)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_text(_manifest_text(settings), encoding="utf-8")
+
+
+def _manifest_text(settings: dict) -> str:
+    """The manifest's text; ValueError naming a setting that would not read back.
+
+    ``parse_config_file`` cuts a value at a comment and strips it, and a
+    line break would start another line.
+    """
+    lines = []
+    for key in sorted(settings):
+        text = _manifest_value(settings[key])
+        if _COMMENT.search(text) or "\n" in text or "\r" in text or text != text.strip():
+            raise ValueError(
+                f"{key} = {text!r} would not read back from manifest.cfg: a '#' at the start "
+                "or after whitespace, a line break, or whitespace at either end"
+            )
+        lines.append(f"{key} = {text}")
+    return "\n".join(lines) + "\n"
 
 
 def _manifest_value(value) -> str:
@@ -154,6 +172,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
     settings = resolve_settings(args, _PIPELINE_DEFAULTS)
     params = _validated(HyperParams, settings)
+    _manifest_text(settings)
     out_dir = Path(settings["output_dir"] or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset = _load_dataset(settings["input"], settings["format"], settings["label_column"])
@@ -258,6 +277,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         raise ValueError(f"unknown experiment kind {kind!r}; choose from {_EXPERIMENT_KINDS}")
     params = _validated(HyperParams, settings)
     exp = _validated(ExperimentParams, settings)
+    _manifest_text(settings)
     out_dir = Path(settings["output_dir"] or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = []

@@ -32,7 +32,8 @@ from .data import Dataset
 
 # Writers format a table in blocks of about this many cells (values, or
 # nonzeros for libsvm), which bounds the Python objects alive at a time;
-# the CSV reader's workers send their values in blocks of this many.
+# the CSV reader's workers send their values, and ``load_csv`` moves the
+# cells left of a label column, in blocks of this many.
 BLOCK_CELLS = 1 << 16
 # Tables with fewer cells are formatted in-process: forking workers
 # costs more than it saves on them.
@@ -240,8 +241,25 @@ def load_csv(path, label_column: Optional[str] = None) -> Dataset:
     labels = None
     if label_pos is not None:
         labels = values[:, label_pos] != 0
-        values = np.delete(values, label_pos, axis=1)
+        values = _drop_column(values, label_pos)
     return Dataset(values, labels=labels)
+
+
+def _drop_column(values: np.ndarray, pos: int) -> np.ndarray:
+    """``np.delete(values, pos, axis=1)`` in the array's own buffer.
+
+    Rows move to the front one block of about ``BLOCK_CELLS`` cells at a
+    time, so no second table is made; the result is a view of the leading
+    n * (d - 1) cells.
+    """
+    n, d = values.shape
+    flat = values.reshape(-1)
+    rows = max(1, BLOCK_CELLS // d)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        # Each block lands at or before where it was read from.
+        flat[lo * (d - 1) : hi * (d - 1)] = np.delete(values[lo:hi], pos, axis=1).ravel()
+    return flat[: n * (d - 1)].reshape(n, d - 1)
 
 
 def _loadtxt(source, skiprows: int = 0) -> Optional[np.ndarray]:

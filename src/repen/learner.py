@@ -20,11 +20,12 @@ Batches average per-triplet gradients over all b triplets (zero-loss
 triplets included). A batch whose triplets all meet the margin has an
 exactly zero gradient, and a zero-gradient ADADELTA step leaves the
 weights alone and only decays the accumulators by ``rho``, so training
-skips it and applies the k skipped decays as k successive products when
-the accumulators are next used; every other batch takes one full-matrix
-ADADELTA step. CSR input trains on its occupied columns only: a column
-with no nonzero in any row has a zero gradient at every step, so its
-weight row keeps its initial value and needs no optimizer state.
+skips it. Every other batch takes one full-matrix ADADELTA step, in place
+and one row block at a time, which first applies the k decays skipped
+since the last step as k successive products on each block. CSR input
+trains on its occupied columns only: a column with no nonzero in any row
+has a zero gradient at every step, so its weight row keeps its initial
+value and needs no optimizer state.
 
 Model persistence format (stable): little-endian binary, magic ``RPNM``,
 uint32 version (currently 1), uint64 D, uint64 M, then D*M float64 weights
@@ -172,13 +173,17 @@ def _batch_loss_grad(
     np.add.at(coeff, loc_n, -v * active_mask[loc_n])
     np.add.at(coeff, qn, v * active_mask[qn])
 
-    grad = np.asarray(block.T @ coeff) / b
+    grad = np.asarray(block.T @ coeff)
+    grad /= b
     return losses, grad
 
 
 @dataclass
 class OptimizerState:
-    """ADADELTA accumulators: decayed squared gradients and squared updates."""
+    """ADADELTA accumulators: decayed squared gradients and squared updates.
+
+    ``adadelta_step`` updates both arrays in place.
+    """
 
     accum_grad_sq: np.ndarray
     accum_update_sq: np.ndarray
@@ -190,26 +195,60 @@ class OptimizerState:
         return cls(np.zeros((d, m)), np.zeros((d, m)), decay, eps)
 
 
+# adadelta_step works through row blocks of about this many cells, so the
+# arrays of one block (four operands and two temporaries) stay in cache.
+STEP_BLOCK_CELLS = 1 << 15
+
+
 def adadelta_step(
-    state: OptimizerState, weights: np.ndarray, gradient: np.ndarray
+    state: OptimizerState, weights: np.ndarray, gradient: np.ndarray, *, skipped: int = 0
 ) -> tuple[np.ndarray, OptimizerState]:
-    """One ADADELTA update; returns new weights and new state (inputs untouched).
+    """One ADADELTA update of ``weights`` and ``state``, in place; returns both.
 
     accum_g <- rho * accum_g + (1 - rho) * g^2
     step    <- -sqrt(accum_u + eps) / sqrt(accum_g + eps) * g
     accum_u <- rho * accum_u + (1 - rho) * step^2
+    weights <- weights + step
 
-    The update is elementwise, so it applies as well to any block of rows
-    (with the matching rows of the state); on CSR input ``train`` passes
-    it the rows of the occupied columns.
+    ``skipped`` first decays both accumulators by ``rho`` that many times,
+    one product each, as that many zero-gradient steps would. The update is
+    elementwise, so it runs in the formulas' operation order over row blocks
+    of about ``STEP_BLOCK_CELLS`` cells, which stay in cache and give the
+    bits of whole-array formulas; on CSR input ``train`` passes it the rows
+    of the occupied columns.
     """
-    if gradient.shape != weights.shape or state.accum_grad_sq.shape != weights.shape:
+    shapes = {gradient.shape, state.accum_grad_sq.shape, state.accum_update_sq.shape}
+    if shapes != {weights.shape}:
         raise ValueError("weights, gradient, and optimizer state shapes must agree")
     rho, eps = state.decay, state.eps
-    accum_g = rho * state.accum_grad_sq + (1.0 - rho) * gradient * gradient
-    step = -np.sqrt(state.accum_update_sq + eps) / np.sqrt(accum_g + eps) * gradient
-    accum_u = rho * state.accum_update_sq + (1.0 - rho) * step * step
-    return weights + step, OptimizerState(accum_g, accum_u, rho, eps)
+    n, m = weights.shape
+    rows = max(1, STEP_BLOCK_CELLS // max(m, 1))
+    tmp_a = np.empty((min(rows, n), m))
+    tmp_b = np.empty_like(tmp_a)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        acc_g, acc_u = state.accum_grad_sq[lo:hi], state.accum_update_sq[lo:hi]
+        g, a, b = gradient[lo:hi], tmp_a[: hi - lo], tmp_b[: hi - lo]
+        for _ in range(skipped):
+            acc_g *= rho
+            acc_u *= rho
+        np.multiply(1.0 - rho, g, out=a)
+        a *= g
+        acc_g *= rho
+        acc_g += a
+        np.add(acc_u, eps, out=a)
+        np.sqrt(a, out=a)
+        np.negative(a, out=a)
+        np.add(acc_g, eps, out=b)
+        np.sqrt(b, out=b)
+        a /= b
+        a *= g                          # the step
+        np.multiply(1.0 - rho, a, out=b)
+        b *= a
+        acc_u *= rho
+        acc_u += b
+        weights[lo:hi] += a
+    return weights, state
 
 
 @dataclass
@@ -258,8 +297,9 @@ def train(
     update invalidates. On CSR input the weights, the optimizer state and
     every product cover only the occupied columns, renumbered in order so
     each row keeps its column order; the trained rows are written back
-    into the full (D, M) initial draw. The weights are bit-identical to
-    those of the plain (D, M) update on every row.
+    into the full (D, M) initial draw, which dense input's steps update
+    in place. The weights are bit-identical to those of the plain (D, M)
+    update on every row.
 
     The dataset's ``known_outliers`` (if any) serve as the labeled pool.
     """
@@ -280,6 +320,7 @@ def train(
         values = sp.csr_matrix(
             (values.data, local, values.indptr), shape=(values.shape[0], occupied.size)
         )
+        del local  # the CSR holds its own (int32) copy
     trained = weights[occupied]
     state = OptimizerState.zeros(len(trained), m, params.optimizer_decay, params.optimizer_eps)
     cache = PreActivationCache.empty(values.shape[0], m)
@@ -311,10 +352,7 @@ def train(
             epoch_losses[j] = losses.mean()
             if grad is None:  # every triplet met the margin
                 continue
-            for _ in range(k - 1 - report.last_update_step):
-                state.accum_grad_sq *= state.decay
-                state.accum_update_sq *= state.decay
-            trained, state = adadelta_step(state, trained, grad)
+            adadelta_step(state, trained, grad, skipped=k - 1 - report.last_update_step)
             cache.fresh[:] = False
             report.update_steps += 1
             report.last_update_step = k

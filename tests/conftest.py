@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repen.data import Dataset
-from repen.learner import _batch_loss_grad
+from repen.learner import OptimizerState, _batch_loss_grad
 
 
 def _dense(values) -> np.ndarray:
@@ -120,6 +120,15 @@ def relative_gradient_error(analytic, numeric) -> float:
     if scale < 1e-6:
         return 0.0 if diff < 1e-8 else diff / max(scale, 1e-8)
     return diff / scale
+
+
+def reference_adadelta_step(state, weights, gradient):
+    """The ADADELTA update as whole-array formulas: new weights and state, inputs untouched."""
+    rho, eps = state.decay, state.eps
+    accum_g = rho * state.accum_grad_sq + (1.0 - rho) * gradient * gradient
+    step = -np.sqrt(state.accum_update_sq + eps) / np.sqrt(accum_g + eps) * gradient
+    accum_u = rho * state.accum_update_sq + (1.0 - rho) * step * step
+    return weights + step, OptimizerState(accum_g, accum_u, rho, eps)
 
 
 @pytest.fixture

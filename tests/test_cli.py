@@ -22,6 +22,7 @@ from repen.cli import (
     _THREAD_ENV_VARS,
     _write_scores_csv,
     main,
+    write_manifest,
     parse_config_file,
     resolve_settings,
 )
@@ -251,6 +252,40 @@ class TestPipelineCommand:
         assert parse_config_file(cfg) == {
             "input": "d#1/mix.csv", "output_dir": "run#a", "label_column": "label#",
         }
+
+    @pytest.mark.parametrize("key, value", [
+        ("output_dir", "#out"),
+        ("input", "runs #2/mix.csv"),
+        ("label_column", "label\t#y"),
+        ("output_dir", "run\nrep_dim = 3"),
+        ("output_dir", "run\rb"),
+        ("input", " mix.csv"),
+        ("label_column", "label "),
+    ])
+    @pytest.mark.parametrize("command", [["pipeline"], ["experiment", "--kind", "comparison"]])
+    def test_setting_the_manifest_cannot_read_back_is_rejected_first(
+        self, tmp_path, monkeypatch, capsys, key, value, command
+    ):
+        monkeypatch.chdir(tmp_path)
+        settings = {"input": "absent.csv", "output_dir": "out", "label_column": "label"}
+        settings[key] = value
+        flags = [f"--{name.replace('_', '-')}={text}" for name, text in settings.items()]
+        assert main([*command, *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} = {value!r} would not read back")
+        assert err.count("\n") == 1
+        # Rejected before the output directory is made or the input read.
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("defaults", [_PIPELINE_DEFAULTS, _EXPERIMENT_DEFAULTS])
+    def test_accepted_settings_read_back_from_the_manifest(self, tmp_path, defaults):
+        settings = dict(defaults, input="d#1/a b=c.csv", output_dir="run#a", label_column="",
+                        format="csv", alpha=0.1 + 0.2, rep_dim=7, rng_seed=2**40)
+        if "kind" in defaults:
+            settings.update(kind="comparison", l_values=(), m_values=(3, 5, 9))
+        path = tmp_path / "manifest.cfg"
+        write_manifest(path, settings)
+        assert resolve_settings(argparse.Namespace(config=str(path)), defaults) == settings
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -212,6 +212,42 @@ class TestCsvReaderPaths:
         assert ds.values.tolist() == [[0.5, 1.5], [2.5, -3e-5]]
         assert ds.labels.tolist() == [True, False]
 
+    @pytest.mark.parametrize("block_cells", [1, 7, 1 << 16])
+    def test_label_column_is_dropped_as_np_delete_drops_it(self, rng, monkeypatch, block_cells):
+        monkeypatch.setattr(ingest, "BLOCK_CELLS", block_cells)
+        values = rng.standard_normal((23, 5))
+        for pos in range(5):
+            expected = np.delete(values, pos, axis=1)
+            dropped = ingest._drop_column(values.copy(), pos)
+            assert dropped.shape == expected.shape
+            assert dropped.tobytes() == expected.tobytes()
+        assert ingest._drop_column(values[:, :1].copy(), 0).shape == (23, 0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_label_column_costs_no_second_table(self, tmp_path, rng, monkeypatch, workers):
+        n, d = 1000, 300
+        path = tmp_path / "l.csv"
+        write_csv(Dataset(rng.standard_normal((n, d)), labels=rng.random(n) < 0.1), path)
+        if workers > 1:
+            if "fork" not in multiprocessing.get_all_start_methods():
+                pytest.skip("no fork start method")
+            monkeypatch.setattr(ingest, "PARSE_MIN_BYTES", 0)
+        monkeypatch.setattr(ingest, "_fork_workers", lambda: workers)
+
+        def peak(label_column):
+            tracemalloc.start()
+            try:
+                load_csv(path, label_column=label_column)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        unlabeled, labeled = peak(None), peak("label")
+        block = max(1, ingest.BLOCK_CELLS // (d + 1)) * d * 8
+        # np.delete on the whole table put the labeled peak near 2.06x the
+        # table's bytes, against 1.41x unlabeled.
+        assert labeled <= unlabeled + n + block, (labeled - unlabeled) / (n * d * 8)
+
     def test_missing_label_column_reported_before_parsing(self, tmp_path, monkeypatch):
         def unused(*args, **kwargs):
             raise AssertionError("np.loadtxt ran")

@@ -31,6 +31,7 @@ from conftest import (
     finite_difference_gradient,
     one_triplet,
     one_triplet_loss,
+    reference_adadelta_step,
     relative_gradient_error,
 )
 
@@ -173,7 +174,7 @@ class TestAdadelta:
         state = OptimizerState(np.full((2, 2), 4.0), np.full((2, 2), 9.0), 0.95, 1e-6)
         weights = np.ones((2, 2))
         new_w, new_s = adadelta_step(state, weights, np.zeros((2, 2)))
-        np.testing.assert_array_equal(new_w, weights)
+        np.testing.assert_array_equal(new_w, np.ones((2, 2)))
         np.testing.assert_allclose(new_s.accum_grad_sq, 0.95 * 4.0)
         np.testing.assert_allclose(new_s.accum_update_sq, 0.95 * 9.0)
 
@@ -186,20 +187,59 @@ class TestAdadelta:
         np.testing.assert_allclose(new_w, expected)
         assert abs(abs(expected) - 4.47e-3) < 5e-5
 
-    def test_pure_function(self, rng):
-        state = OptimizerState.zeros(4, 3)
-        weights = rng.standard_normal((4, 3))
-        grad = rng.standard_normal((4, 3))
-        w1, s1 = adadelta_step(state, weights, grad)
-        w2, s2 = adadelta_step(state, weights, grad)
-        np.testing.assert_array_equal(w1, w2)
-        np.testing.assert_array_equal(s1.accum_grad_sq, s2.accum_grad_sq)
-        assert np.all(state.accum_grad_sq == 0.0)  # inputs untouched
+    # Rows not a multiple of the block (1638 rows at M = 20), M above the
+    # block's cells (one row per block), and no rows at all.
+    @pytest.mark.parametrize("shape", [(4, 3), (3500, 20), (3, 40_000), (0, 5)])
+    def test_updates_in_place_and_matches_the_formulas_bitwise(self, rng, shape):
+        state = OptimizerState(*np.abs(rng.standard_normal((2, *shape))), 0.9, 1e-4)
+        weights = rng.standard_normal(shape)
+        expected_w, expected_s = weights.copy(), OptimizerState(
+            state.accum_grad_sq.copy(), state.accum_update_sq.copy(), 0.9, 1e-4
+        )
+        for scale in (1.0, 1e-3, 1e-7):
+            grad = rng.standard_normal(shape) * scale
+            before = grad.copy()
+            expected_w, expected_s = reference_adadelta_step(expected_s, expected_w, grad)
+            new_w, new_s = adadelta_step(state, weights, grad)
+            assert new_w is weights and new_s is state
+            assert grad.tobytes() == before.tobytes()
+            assert weights.tobytes() == expected_w.tobytes()
+            assert state.accum_grad_sq.tobytes() == expected_s.accum_grad_sq.tobytes()
+            assert state.accum_update_sq.tobytes() == expected_s.accum_update_sq.tobytes()
+
+    def test_skipped_decays_are_successive_products(self, rng):
+        shape = (3500, 4)
+        # Accumulators over many binades, where rho ** k and k products differ.
+        start = np.exp(rng.uniform(-30, 30, size=(2, *shape)))
+        grad = rng.standard_normal(shape)
+        state = OptimizerState(*start.copy(), 0.95, 1e-4)
+        weights = np.zeros(shape)
+        adadelta_step(state, weights, grad, skipped=7)
+
+        expected = OptimizerState(*start.copy(), 0.95, 1e-4)
+        for _ in range(7):
+            expected.accum_grad_sq *= 0.95
+            expected.accum_update_sq *= 0.95
+        expected_w, expected = reference_adadelta_step(expected, np.zeros(shape), grad)
+        assert weights.tobytes() == expected_w.tobytes()
+        assert state.accum_grad_sq.tobytes() == expected.accum_grad_sq.tobytes()
+        assert state.accum_update_sq.tobytes() == expected.accum_update_sq.tobytes()
+
+        # One rho ** 7 product per element would give other bytes.
+        power = OptimizerState(*(start * 0.95**7), 0.95, 1e-4)
+        power_w, power = reference_adadelta_step(power, np.zeros(shape), grad)
+        got = [a.tobytes() for a in (weights, state.accum_grad_sq, state.accum_update_sq)]
+        assert [a.tobytes() for a in (power_w, power.accum_grad_sq, power.accum_update_sq)] != got
 
     def test_shape_mismatch_rejected(self):
         state = OptimizerState.zeros(2, 2)
         with pytest.raises(ValueError, match="shape"):
             adadelta_step(state, np.zeros((2, 2)), np.zeros((3, 2)))
+        # A row of accumulators would broadcast; it is refused before any write.
+        state = OptimizerState(np.ones((2, 2)), np.ones((1, 2)))
+        with pytest.raises(ValueError, match="shape"):
+            adadelta_step(state, np.zeros((2, 2)), np.ones((2, 2)))
+        assert np.all(state.accum_grad_sq == 1.0)
 
 
 def _training_inputs(n_in=120, n_out=8, d=60, seed=3):
@@ -291,7 +331,8 @@ def _sparse_training_inputs(n=200, d=5000, nnz_per_row=10, seed=4):
 
 
 def _reference_train(ds, sets, scores, params):
-    """``train``'s weights from the full (D, M) gradient and update on every step."""
+    """``train``'s weights from the full (D, M) gradient and the whole-array
+    reference update on every step, zero-gradient steps included."""
     init_ss, batch_ss, _ = np.random.SeedSequence(params.rng_seed).spawn(3)
     weights = initial_weights(ds.n_features, params.rep_dim, np.random.default_rng(init_ss))
     state = OptimizerState.zeros(
@@ -305,7 +346,7 @@ def _reference_train(ds, sets, scores, params):
         _, grad = _batch_loss_grad(ds.values, weights, q, p, g, params.margin)
         if grad is None:
             grad = np.zeros_like(weights)
-        weights, state = adadelta_step(state, weights, grad)
+        weights, state = reference_adadelta_step(state, weights, grad)
     return weights
 
 
