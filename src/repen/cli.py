@@ -4,7 +4,8 @@ Subcommands:
     pipeline    run score -> threshold -> train -> transform -> detect on a file
     synth       generate a synthetic benchmark dataset file
     experiment  run a protocol (comparison, labeled_curve, dim_sensitivity,
-                scalability) and write CSV tables plus gnuplot scripts
+                scalability) and write <kind>_rows.csv plus a <kind>.gp
+                gnuplot script; comparison also writes comparison_summary.csv
     downsample  subsample the outlier class of a labeled dataset to a target rate
     score       apply a saved model and the detector to a dataset
 
@@ -259,7 +260,17 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 _EXPERIMENT_DEFAULTS = {**_PIPELINE_DEFAULTS, "kind": "", **asdict(ExperimentParams())}
 
-_EXPERIMENT_KINDS = ("comparison", "labeled_curve", "dim_sensitivity", "scalability")
+# Each kind's plot: its x and y columns by table header name, its title and
+# its axis labels. Every kind runs experiments.run_<kind> and writes its rows
+# and their plot the same way.
+_EXPERIMENT_KINDS = {
+    "comparison": ("repeat", "auc", "AUC per repeat", "repeat", "auc"),
+    "labeled_curve": ("n_labeled", "auc", "AUC vs labeled outliers", "labeled outliers", "auc"),
+    "dim_sensitivity": ("M", "auc", "AUC vs representation dimension",
+                        "representation dimension", "auc"),
+    "scalability": ("n_objects", "total_seconds", "total runtime vs data size", "objects",
+                    "seconds"),
+}
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
@@ -267,6 +278,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     from .evaluation import (
         RESULT_HEADER,
         SCALABILITY_HEADER,
+        SUMMARY_HEADER,
         write_gnuplot_script,
         write_rows_csv,
     )
@@ -274,7 +286,9 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     settings = resolve_settings(args, _EXPERIMENT_DEFAULTS)
     kind = settings["kind"]
     if kind not in _EXPERIMENT_KINDS:
-        raise ValueError(f"unknown experiment kind {kind!r}; choose from {_EXPERIMENT_KINDS}")
+        raise ValueError(
+            f"unknown experiment kind {kind!r}; choose from {tuple(_EXPERIMENT_KINDS)}"
+        )
     params = _validated(HyperParams, settings)
     exp = _validated(ExperimentParams, settings)
     _manifest_text(settings)
@@ -283,40 +297,21 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     artifacts = []
 
     if kind == "scalability":
-        rows = experiments.run_scalability(params, exp)
-        csv_path = out_dir / "scalability_rows.csv"
-        write_rows_csv(csv_path, rows, SCALABILITY_HEADER)
-        write_gnuplot_script(
-            out_dir / "scalability.gp", csv_path.name, 2, 7,
-            "total runtime vs data size", "objects", "seconds", logscale=True,
-        )
-        artifacts += [csv_path.name, "scalability.gp"]
+        rows, header = experiments.run_scalability(params, exp), SCALABILITY_HEADER
     else:
         dataset = _load_dataset(settings["input"], settings["format"], settings["label_column"])
-        if kind == "comparison":
-            rows, summary = experiments.run_comparison(dataset, params, repeats=exp.repeats)
-            write_rows_csv(out_dir / "comparison_summary.csv", summary,
-                           ("method", "mean_auc", "std_auc", "mean_detect_seconds"))
-            artifacts.append("comparison_summary.csv")
-            csv_path = out_dir / "comparison_rows.csv"
-            plot = ("comparison.gp", 4, 5, "AUC per repeat", "repeat", "auc")
-        elif kind == "labeled_curve":
-            rows = experiments.run_labeled_curve(
-                dataset, params, exp.l_values, repeats=exp.repeats
-            )
-            csv_path = out_dir / "labeled_curve_rows.csv"
-            plot = ("labeled_curve.gp", 3, 5, "AUC vs labeled outliers", "labeled outliers", "auc")
-        else:
-            rows = experiments.run_dim_sensitivity(
-                dataset, params, exp.m_values, repeats=exp.repeats
-            )
-            csv_path = out_dir / "dim_sensitivity_rows.csv"
-            plot = ("dim_sensitivity.gp", 2, 5, "AUC vs representation dimension",
-                    "representation dimension", "auc")
-        write_rows_csv(csv_path, rows, RESULT_HEADER)
-        name, x, y, title, xlabel, ylabel = plot
-        write_gnuplot_script(out_dir / name, csv_path.name, x, y, title, xlabel, ylabel)
-        artifacts += [csv_path.name, name]
+        rows, header = getattr(experiments, f"run_{kind}")(dataset, params, exp), RESULT_HEADER
+    if kind == "comparison":
+        rows, summary = rows
+        write_rows_csv(out_dir / "comparison_summary.csv", summary, SUMMARY_HEADER)
+        artifacts.append("comparison_summary.csv")
+    csv_name, script_name = f"{kind}_rows.csv", f"{kind}.gp"
+    write_rows_csv(out_dir / csv_name, rows, header)
+    x, y, title, xlabel, ylabel = _EXPERIMENT_KINDS[kind]
+    write_gnuplot_script(out_dir / script_name, csv_name, header.index(x) + 1,
+                         header.index(y) + 1, title, xlabel, ylabel,
+                         logscale=kind == "scalability")
+    artifacts += [csv_name, script_name]
 
     write_manifest(out_dir / "manifest.cfg", settings)
     print(f"experiment '{kind}' wrote {', '.join(artifacts)} to {out_dir}")

@@ -1,10 +1,11 @@
 """Ranking quality and result tables.
 
 ``auc`` is the reported detection quality, and ``masked_auc`` decides
-which rows it covers and whether it is reported at all. ``RESULT_HEADER``
-and ``SCALABILITY_HEADER`` fix the experiment tables' columns, which
-``write_rows_csv`` writes byte-deterministically; ``write_gnuplot_script``
-plots one table.
+which rows it covers and whether it is reported at all. ``RESULT_HEADER``,
+``SUMMARY_HEADER`` and ``SCALABILITY_HEADER`` fix the experiment tables'
+columns: ``repen.experiments`` builds its rows from them, ``write_rows_csv``
+writes them byte-deterministically, and the CLI finds the columns that
+``write_gnuplot_script`` plots by their names in them.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ RESULT_HEADER = (
     "detect_seconds",
     "train_seconds",
 )
+
+# The comparison protocol's per-method summary of RESULT_HEADER rows.
+SUMMARY_HEADER = ("method", "mean_auc", "std_auc", "mean_detect_seconds")
 
 # Timing tables have their own schema (they report no ranking quality).
 SCALABILITY_HEADER = (

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import math
 import multiprocessing
 import os
 import threading
@@ -531,8 +532,8 @@ def synth_gaussian_with_outliers(
         raise ValueError(f"d_relevant >= 1 required, got {d_relevant}")
     if d_noise < 0:
         raise ValueError(f"d_noise >= 0 required, got {d_noise}")
-    if separation <= 0:
-        raise ValueError(f"separation > 0 required, got {separation}")
+    if not (math.isfinite(separation) and separation > 0):
+        raise ValueError(f"finite separation > 0 required, got {separation}")
     if seed < 0:
         raise ValueError(f"seed >= 0 required, got {seed}")
     rng = np.random.default_rng(seed)

@@ -10,6 +10,7 @@ in time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -78,16 +79,16 @@ class HyperParams:
                 raise ValueError(f"{name} >= 1 required, got {getattr(self, name)}")
         if self.n_epochs < 0:
             raise ValueError(f"n_epochs >= 0 required, got {self.n_epochs}")
-        if self.alpha < 0:
-            raise ValueError(f"alpha >= 0 required, got {self.alpha}")
-        if self.margin <= 0:
-            raise ValueError(f"margin > 0 required, got {self.margin}")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ValueError(f"finite alpha >= 0 required, got {self.alpha}")
+        if not (math.isfinite(self.margin) and self.margin > 0):
+            raise ValueError(f"finite margin > 0 required, got {self.margin}")
         if not 0.0 < self.optimizer_decay < 1.0:
             raise ValueError(
                 f"optimizer_decay in (0, 1) required, got {self.optimizer_decay}"
             )
-        if self.optimizer_eps <= 0:
-            raise ValueError(f"optimizer_eps > 0 required, got {self.optimizer_eps}")
+        if not (math.isfinite(self.optimizer_eps) and self.optimizer_eps > 0):
+            raise ValueError(f"finite optimizer_eps > 0 required, got {self.optimizer_eps}")
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed >= 0 required, got {self.rng_seed}")
         if not 0.0 <= self.labeled_fraction <= 1.0:
@@ -145,8 +146,8 @@ class ExperimentParams:
             raise ValueError(f"outlier_rate in [0, 1) required, got {self.outlier_rate}")
         if self.d_relevant < 1:
             raise ValueError(f"d_relevant >= 1 required, got {self.d_relevant}")
-        if self.separation <= 0:
-            raise ValueError(f"separation > 0 required, got {self.separation}")
+        if not (math.isfinite(self.separation) and self.separation > 0):
+            raise ValueError(f"finite separation > 0 required, got {self.separation}")
         for n in self.sizes:
             if n <= self.n_outliers(n):
                 raise ValueError(

@@ -18,6 +18,7 @@ from repen.evaluation import auc
 from repen.experiments import run_labeled_curve
 from repen.ingest import synth_gaussian_with_outliers
 from repen.learner import _batch_loss_grad, train, transform
+from repen.params import ExperimentParams
 from repen.pipeline import run_pipeline, stage_seeds
 from repen.sampling import sample_batch_arrays, sampling_pools
 from repen.sp import SpConfig, draw_subsamples, sp_score
@@ -255,7 +256,7 @@ class TestCriterion08LabeledOutlierBenefit:
         start = time.perf_counter()
         ds = synth_gaussian_with_outliers(500, 60, 10, 4990, 3.0, seed=0)
         params = HyperParams(rng_seed=0)
-        rows = run_labeled_curve(ds, params, l_values=[0, 40], repeats=10)
+        rows = run_labeled_curve(ds, params, ExperimentParams(l_values=(0, 40), repeats=10))
         mean = {
             l: float(np.mean([r["auc"] for r in rows if r["n_labeled"] == l]))
             for l in (0, 40)
@@ -295,7 +296,6 @@ class TestCriterion10ScalabilityShape:
     def test_runtime_doubles_by_at_most_2p5(self):
         """Doubling N (at D = 10,000) or D (at N = 10,000) keeps ratio in [1, 2.5]."""
         from repen.experiments import run_scalability
-        from repen.params import ExperimentParams
 
         start = time.perf_counter()
         params = HyperParams(n_epochs=5, samples_per_epoch=2560, rng_seed=3)

@@ -312,14 +312,22 @@ class TestPipelineCommand:
         assert err.startswith("error:") and "non-finite values" in err
         assert not (out_dir / "model.repen").exists()
 
-    def test_bad_setting_reported_before_the_file_is_read(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--rep-dim", "0", "rep_dim >= 1 required, got 0"),
+        ("--margin", "nan", "finite margin > 0 required, got nan"),
+        ("--alpha", "nan", "finite alpha >= 0 required, got nan"),
+        ("--optimizer-eps", "inf", "finite optimizer_eps > 0 required, got inf"),
+    ], ids=["rep_dim", "margin_nan", "alpha_nan", "optimizer_eps_inf"])
+    def test_bad_setting_reported_before_the_file_is_read(
+        self, tmp_path, capsys, flag, value, message
+    ):
         data = _write_nan_csv(tmp_path)
         out_dir = tmp_path / "run"
         capsys.readouterr()
         rc = main(["pipeline", "--input", str(data), "--output-dir", str(out_dir),
-                   "--label-column", "label", "--rep-dim", "0"])
+                   "--label-column", "label", flag, value])
         assert rc == 1
-        assert capsys.readouterr().err == "error: rep_dim >= 1 required, got 0\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out_dir.exists()
 
     def test_sparse_deterministic_rerun_is_bit_identical(self, tmp_path, thread_env):
@@ -685,6 +693,8 @@ class TestExperimentCommand:
             ("scalability", ["--sizes", "60", "--outlier-rate", "1.5"],
              "outlier_rate in [0, 1) required, got 1.5"),
             ("dim_sensitivity", ["--m-values", "0,4"], "every m_values entry >= 1 required, got 0"),
+            ("dim_sensitivity", [],
+             "every m_values entry <= n_features required, got 100 > 50 in the default grid"),
         ],
     )
     def test_bad_experiment_setting_names_it(self, tmp_path, capsys, kind, flags, message):
@@ -698,6 +708,26 @@ class TestExperimentCommand:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not list(out_dir.glob("*.csv"))
+
+    @pytest.mark.parametrize("kind, columns", [
+        ("comparison", "4:5"),
+        ("labeled_curve", "3:5"),
+        ("dim_sensitivity", "2:5"),
+        ("scalability", "2:7"),
+    ])
+    def test_gnuplot_script_plots_the_kind_columns(self, tmp_path, kind, columns):
+        data = _write_synth(tmp_path, "csv")
+        out_dir = tmp_path / "exp"
+        assert main([
+            "experiment", "--kind", kind, "--input", str(data), "--label-column", "label",
+            "--output-dir", str(out_dir), "--repeats", "1", "--l-values", "0,2",
+            "--m-values", "2,4", "--sizes", "120", "--dims", "", "--size-sweep-dim", "64",
+            "--d-relevant", "5", "--rep-dim", "4", "--n-epochs", "1",
+            "--samples-per-epoch", "128", "--batch-size", "64",
+        ]) == 0
+        script = (out_dir / f"{kind}.gp").read_text()
+        assert f"'{kind}_rows.csv' every ::1 using {columns} with" in script
+        assert ("set logscale xy" in script) == (kind == "scalability")
 
     def test_manifest_reproduces_the_run(self, tmp_path, thread_env):
         data = _write_synth(tmp_path, "csv", n_inliers=120, n_outliers=12)

@@ -170,8 +170,14 @@ class TestHyperParams:
             ("subsample_size", 0),
             ("batch_size", 0),
             ("alpha", -0.1),
+            ("alpha", float("nan")),
+            ("alpha", float("inf")),
             ("margin", 0.0),
+            ("margin", float("nan")),
+            ("margin", float("inf")),
             ("optimizer_decay", 1.0),
+            ("optimizer_eps", float("nan")),
+            ("optimizer_eps", float("inf")),
             ("labeled_fraction", 1.5),
             ("rng_seed", -1),
         ],
@@ -203,6 +209,8 @@ class TestExperimentParams:
             ("outlier_rate", 1.0),
             ("d_relevant", 0),
             ("separation", 0.0),
+            ("separation", float("nan")),
+            ("separation", float("inf")),
             ("sizes", (1000, 1)),
             ("dim_sweep_size", 1),
             ("size_sweep_dim", 10),

@@ -120,10 +120,10 @@ class TestPipelineStages:
 
         monkeypatch.setattr(repen.pipeline, "candidate_sets", counting)
         ds = _small_dataset()
-        run_labeled_curve(ds, _fast_params(), l_values=[0, 2, 4], repeats=2)
+        run_labeled_curve(ds, _fast_params(), ExperimentParams(l_values=(0, 2, 4), repeats=2))
         assert len(calls) == 2
         calls.clear()
-        run_dim_sensitivity(ds, _fast_params(), m_values=(2, 4, 8), repeats=2)
+        run_dim_sensitivity(ds, _fast_params(), ExperimentParams(m_values=(2, 4, 8), repeats=2))
         assert len(calls) == 2
 
     def test_shared_stage_rows_equal_standalone_runs(self, monkeypatch):
@@ -136,8 +136,10 @@ class TestPipelineStages:
 
         monkeypatch.setattr(repen.experiments, "run_pipeline", recording)
         ds = _small_dataset()
-        rows = run_labeled_curve(ds, _fast_params(), l_values=[0, 3], repeats=2)
-        rows += run_dim_sensitivity(ds, _fast_params(), m_values=(2, 8), repeats=2)
+        rows = run_labeled_curve(ds, _fast_params(), ExperimentParams(l_values=(0, 3), repeats=2))
+        rows += run_dim_sensitivity(
+            ds, _fast_params(), ExperimentParams(m_values=(2, 8), repeats=2)
+        )
         assert len(cells) == len(rows) == 8
         assert [c[0].known_outliers is not None for c in cells[:4]] == [False, True] * 2
         for row, (cell, params) in zip(rows, cells):
@@ -167,7 +169,9 @@ class TestThinLoop:
 
     def test_comparison_rows_read_their_run(self, monkeypatch):
         calls, results = self._count_scores_and_capture_runs(monkeypatch)
-        rows, summary = run_comparison(_small_dataset(), _fast_params(), repeats=1)
+        rows, summary = run_comparison(
+            _small_dataset(), _fast_params(), ExperimentParams(repeats=1)
+        )
         assert len(calls) == 2
         (result,) = results
         assert [row["detect_seconds"] for row in rows] == [
@@ -180,8 +184,8 @@ class TestThinLoop:
     @pytest.mark.parametrize(
         "run",
         [
-            lambda ds, p: run_labeled_curve(ds, p, l_values=[0, 3], repeats=1),
-            lambda ds, p: run_dim_sensitivity(ds, p, m_values=(2, 4), repeats=1),
+            lambda ds, p: run_labeled_curve(ds, p, ExperimentParams(l_values=(0, 3), repeats=1)),
+            lambda ds, p: run_dim_sensitivity(ds, p, ExperimentParams(m_values=(2, 4), repeats=1)),
         ],
         ids=["labeled_curve", "dim_sensitivity"],
     )
@@ -200,14 +204,21 @@ class TestThinLoop:
 @pytest.mark.parametrize(
     "run, setting",
     [
-        (lambda ds, p: run_comparison(ds, p, repeats=0), "repeats"),
-        (lambda ds, p: run_labeled_curve(ds, p, l_values=[2, -1], repeats=1), "l_values"),
-        (lambda ds, p: run_dim_sensitivity(ds, p, m_values=(4, 0), repeats=1), "m_values"),
+        (lambda ds, p: run_comparison(ds, p, ExperimentParams(repeats=0)), "repeats"),
+        (lambda ds, p: run_labeled_curve(ds, p, ExperimentParams(l_values=(2, -1), repeats=1)),
+         "l_values"),
+        (lambda ds, p: run_dim_sensitivity(ds, p, ExperimentParams(m_values=(4, 0), repeats=1)),
+         "m_values"),
+        # _small_dataset has 200 features.
+        (lambda ds, p: run_dim_sensitivity(ds, p, ExperimentParams(m_values=(8, 201),
+                                                                   repeats=1)),
+         "m_values entry <= n_features"),
         (lambda ds, p: run_scalability(p, ExperimentParams(sizes=(), dims=(40,),
                                                            dim_sweep_size=1, d_relevant=5)),
          "dim_sweep_size"),
     ],
-    ids=["comparison", "labeled_curve", "dim_sensitivity", "scalability"],
+    ids=["comparison", "labeled_curve", "dim_sensitivity", "dim_sensitivity_above_n_features",
+         "scalability"],
 )
 def test_protocols_reject_bad_settings_before_any_run(monkeypatch, run, setting):
     def no_run(*args, **kwargs):
@@ -221,7 +232,9 @@ def test_protocols_reject_bad_settings_before_any_run(monkeypatch, run, setting)
 
 class TestComparisonProtocol:
     def test_rows_and_summary_shape(self):
-        rows, summary = run_comparison(_small_dataset(), _fast_params(), repeats=2)
+        rows, summary = run_comparison(
+            _small_dataset(), _fast_params(), ExperimentParams(repeats=2)
+        )
         assert len(rows) == 4
         methods = {row["method"] for row in rows}
         assert methods == {"original_sp", "repen_sp"}
@@ -233,22 +246,22 @@ class TestComparisonProtocol:
 
     def test_deterministic(self):
         ds = _small_dataset()
-        r1, _ = run_comparison(ds, _fast_params(), repeats=1)
-        r2, _ = run_comparison(ds, _fast_params(), repeats=1)
+        r1, _ = run_comparison(ds, _fast_params(), ExperimentParams(repeats=1))
+        r2, _ = run_comparison(ds, _fast_params(), ExperimentParams(repeats=1))
         for a, b in zip(r1, r2):
             assert a["auc"] == b["auc"]
 
     def test_requires_labels(self, rng):
         ds = Dataset(rng.standard_normal((30, 5)))
         with pytest.raises(ValueError, match="labels"):
-            run_comparison(ds, _fast_params(), repeats=1)
+            run_comparison(ds, _fast_params(), ExperimentParams(repeats=1))
 
     @pytest.mark.parametrize("protocol", [run_comparison, run_dim_sensitivity])
     def test_single_class_labels_rejected(self, protocol):
         ds = _small_dataset()
         inliers_only = Dataset(ds.values, np.zeros(ds.n_objects, dtype=bool))
         with pytest.raises(ValueError, match="labels of both classes"):
-            protocol(inliers_only, _fast_params(), repeats=1)
+            protocol(inliers_only, _fast_params(), ExperimentParams(repeats=1))
 
     def test_summarize_rows(self):
         rows = [
@@ -265,15 +278,15 @@ class TestLabeledCurveProtocol:
     def test_l_zero_matches_comparison_row(self):
         ds = _small_dataset()
         params = _fast_params()
-        rows, _ = run_comparison(ds, params, repeats=1)
+        rows, _ = run_comparison(ds, params, ExperimentParams(repeats=1))
         repen_row = next(r for r in rows if r["method"] == "repen_sp")
-        curve = run_labeled_curve(ds, params, l_values=[0], repeats=1)
+        curve = run_labeled_curve(ds, params, ExperimentParams(l_values=(0,), repeats=1))
         assert curve[0]["auc"] == repen_row["auc"]
         assert curve[0]["n_labeled"] == 0
 
     def test_labeled_rows_excluded_from_evaluation(self):
         ds = _small_dataset()
-        curve = run_labeled_curve(ds, _fast_params(), l_values=[0, 4], repeats=1)
+        curve = run_labeled_curve(ds, _fast_params(), ExperimentParams(l_values=(0, 4), repeats=1))
         assert [row["n_labeled"] for row in curve] == [0, 4]
         for row in curve:
             assert 0.0 <= row["auc"] <= 1.0
@@ -281,7 +294,7 @@ class TestLabeledCurveProtocol:
     def test_pool_too_small_rejected(self):
         ds = _small_dataset()  # 10 ground-truth outliers
         with pytest.raises(ValueError, match="pool"):
-            run_labeled_curve(ds, _fast_params(), l_values=[10], repeats=1)
+            run_labeled_curve(ds, _fast_params(), ExperimentParams(l_values=(10,), repeats=1))
 
 
 class TestDimSensitivityProtocol:
@@ -290,7 +303,9 @@ class TestDimSensitivityProtocol:
 
     def test_rows_per_repeat(self):
         ds = _small_dataset()
-        rows = run_dim_sensitivity(ds, _fast_params(), m_values=(2, 4, 8), repeats=2)
+        rows = run_dim_sensitivity(
+            ds, _fast_params(), ExperimentParams(m_values=(2, 4, 8), repeats=2)
+        )
         assert len(rows) == 6
         assert [row["M"] for row in rows] == [2, 4, 8, 2, 4, 8]
 

@@ -556,8 +556,9 @@ class TestSynthGenerator:
     def test_argument_validation(self):
         with pytest.raises(ValueError, match="n_inliers"):
             synth_gaussian_with_outliers(0, 1, 1, 0, 1.0, 0)
-        with pytest.raises(ValueError, match="separation"):
-            synth_gaussian_with_outliers(5, 1, 1, 0, 0.0, 0)
+        for separation in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="separation"):
+                synth_gaussian_with_outliers(5, 1, 1, 0, separation, 0)
 
 
 class TestDownsample:
