@@ -20,12 +20,18 @@ Batches average per-triplet gradients over all b triplets (zero-loss
 triplets included). A batch whose triplets all meet the margin has an
 exactly zero gradient, and a zero-gradient ADADELTA step leaves the
 weights alone and only decays the accumulators by ``rho``, so training
-skips it. Every other batch takes one full-matrix ADADELTA step, in place
-and one row block at a time, which first applies the k decays skipped
-since the last step as k successive products on each block. CSR input
-trains on its occupied columns only: a column with no nonzero in any row
-has a zero gradient at every step, so its weight row keeps its initial
-value and needs no optimizer state.
+skips it. On dense input every other batch takes one full-matrix ADADELTA
+step, in place and one row block at a time, which first applies the k
+decays skipped since the last step as k successive products on each
+block. CSR input trains on its occupied columns only: a column with no
+nonzero in any row has a zero gradient at every step, so its weight row
+keeps its initial value and needs no optimizer state. A CSR step goes
+further and updates only the rows its gradient reaches, those of the
+columns of the batch rows with a nonzero coefficient. Every other row has
+an exactly zero gradient, which makes its update exactly one decay of
+both accumulators, so the row carries its decays until its next step and
+takes them there as successive products; the decays still owed after a
+row's last step only touch optimizer state that training then drops.
 
 Model persistence format (stable): little-endian binary, magic ``RPNM``,
 uint32 version (currently 1), uint64 D, uint64 M, then D*M float64 weights
@@ -38,6 +44,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -89,6 +96,18 @@ class PreActivationCache:
         return cls(np.empty((n, m)), np.zeros(n, dtype=bool))
 
 
+class RowGradient(NamedTuple):
+    """The rows of a weight gradient that may be nonzero.
+
+    ``values[i]`` is the gradient of weight row ``rows[i]``; every other
+    row's gradient is exactly zero. ``rows`` is ``slice(None)`` when
+    ``values`` holds every row.
+    """
+
+    rows: np.ndarray | slice
+    values: np.ndarray
+
+
 def _batch_loss_grad(
     values,
     weights: np.ndarray,
@@ -100,12 +119,19 @@ def _batch_loss_grad(
     *,
     cache: PreActivationCache | None = None,
 ):
-    """Losses (b,) and the batch-mean (D, M) weight gradient.
+    """Losses (b,) and the batch-mean weight gradient as a ``RowGradient``.
 
     ``queries`` has shape (b, n); positives/negatives have shape (b,).
     Returns ``(losses, grad)``. ``grad`` is None when ``want_grad`` is
     false, and also when no triplet has a positive loss, since the
     gradient is then exactly zero.
+
+    The gradient is ``block.T @ coeff`` over the batch's rows of ``values``.
+    On dense input it is that product, reported as every row. On CSR input
+    it is the product over the batch rows with a nonzero coefficient, on
+    the columns those rows occupy, and it has the same bits there: scipy
+    adds each output row's terms in batch-row order, and the terms left out
+    are exact zeros.
 
     With a ``cache`` holding some of the batch's rows, only the others are
     computed (and stored), and an inactive batch costs no more. A batch
@@ -173,9 +199,16 @@ def _batch_loss_grad(
     np.add.at(coeff, loc_n, -v * active_mask[loc_n])
     np.add.at(coeff, qn, v * active_mask[qn])
 
-    grad = np.asarray(block.T @ coeff)
+    if sp.issparse(block):
+        live = np.flatnonzero(coeff.any(axis=1))
+        part = block[live]
+        cols, local = np.unique(part.indices, return_inverse=True)
+        part = sp.csr_matrix((part.data, local, part.indptr), shape=(live.size, cols.size))
+        grad_rows, grad = cols, part.T @ coeff[live]
+    else:
+        grad_rows, grad = slice(None), np.asarray(block.T @ coeff)
     grad /= b
-    return losses, grad
+    return losses, RowGradient(grad_rows, grad)
 
 
 @dataclass
@@ -200,8 +233,32 @@ class OptimizerState:
 STEP_BLOCK_CELLS = 1 << 15
 
 
+def _decay_rows(acc_g: np.ndarray, acc_u: np.ndarray, counts: np.ndarray, rho: float) -> None:
+    """Multiply row i of both accumulators by ``rho`` ``counts[i]`` times, one product each.
+
+    The rows are taken in order of decreasing count, so every round of
+    products covers a leading slice of them.
+    """
+    order = np.argsort(counts)[::-1]
+    order = order[counts[order] > 0]
+    if not order.size:
+        return
+    ordered = counts[order]
+    # ends[s]: how many rows take an (s + 1)-th product.
+    ends = np.searchsorted(-ordered, -np.arange(ordered[0]))
+    for acc in (acc_g, acc_u):
+        part = acc[order]
+        for end in ends:
+            part[:end] *= rho
+        acc[order] = part
+
+
 def adadelta_step(
-    state: OptimizerState, weights: np.ndarray, gradient: np.ndarray, *, skipped: int = 0
+    state: OptimizerState,
+    weights: np.ndarray,
+    gradient: np.ndarray,
+    *,
+    skipped: int | np.ndarray = 0,
 ) -> tuple[np.ndarray, OptimizerState]:
     """One ADADELTA update of ``weights`` and ``state``, in place; returns both.
 
@@ -211,17 +268,21 @@ def adadelta_step(
     weights <- weights + step
 
     ``skipped`` first decays both accumulators by ``rho`` that many times,
-    one product each, as that many zero-gradient steps would. The update is
-    elementwise, so it runs in the formulas' operation order over row blocks
-    of about ``STEP_BLOCK_CELLS`` cells, which stay in cache and give the
-    bits of whole-array formulas; on CSR input ``train`` passes it the rows
-    of the occupied columns.
+    one product each, as that many zero-gradient steps would; an array of
+    counts gives each row its own. The update is elementwise, so it runs in
+    the formulas' operation order over row blocks of about
+    ``STEP_BLOCK_CELLS`` cells, which stay in cache and give the bits of
+    whole-array formulas; on CSR input ``train`` passes it the rows of one
+    ``RowGradient`` with their own pending decays.
     """
     shapes = {gradient.shape, state.accum_grad_sq.shape, state.accum_update_sq.shape}
     if shapes != {weights.shape}:
         raise ValueError("weights, gradient, and optimizer state shapes must agree")
     rho, eps = state.decay, state.eps
     n, m = weights.shape
+    counts = np.asarray(skipped)
+    if counts.ndim and counts.shape != (n,):
+        raise ValueError("skipped counts must give one count per weight row")
     rows = max(1, STEP_BLOCK_CELLS // max(m, 1))
     tmp_a = np.empty((min(rows, n), m))
     tmp_b = np.empty_like(tmp_a)
@@ -229,9 +290,12 @@ def adadelta_step(
         hi = min(lo + rows, n)
         acc_g, acc_u = state.accum_grad_sq[lo:hi], state.accum_update_sq[lo:hi]
         g, a, b = gradient[lo:hi], tmp_a[: hi - lo], tmp_b[: hi - lo]
-        for _ in range(skipped):
-            acc_g *= rho
-            acc_u *= rho
+        if counts.ndim:
+            _decay_rows(acc_g, acc_u, counts[lo:hi], rho)
+        else:
+            for _ in range(skipped):
+                acc_g *= rho
+                acc_u *= rho
         np.multiply(1.0 - rho, g, out=a)
         a *= g
         acc_g *= rho
@@ -249,6 +313,20 @@ def adadelta_step(
         acc_u += b
         weights[lo:hi] += a
     return weights, state
+
+
+def _step_rows(
+    state: OptimizerState, weights: np.ndarray, grad: RowGradient, *, skipped: np.ndarray
+) -> None:
+    """``adadelta_step`` on the rows of ``grad``, gathered out of ``weights``
+    and ``state`` and written back. The gathered copies are freed on return,
+    so they are not held while the next batch's gradient is built."""
+    full = (weights, state.accum_grad_sq, state.accum_update_sq)
+    w, acc_g, acc_u = (np.take(a, grad.rows, axis=0) for a in full)
+    adadelta_step(OptimizerState(acc_g, acc_u, state.decay, state.eps), w, grad.values,
+                  skipped=skipped)
+    for a, stepped in zip(full, (w, acc_g, acc_u)):
+        a[grad.rows] = stepped
 
 
 @dataclass
@@ -270,6 +348,12 @@ class TrainReport:
     initial_violation_rate: float = 0.0
     update_steps: int = 0
     last_update_step: int = 0
+
+
+def check_rep_dim(rep_dim: int, n_features: int) -> None:
+    """Raise ValueError if the representation is wider than the input."""
+    if rep_dim > n_features:
+        raise ValueError(f"rep_dim must be <= n_features, got {rep_dim} > {n_features}")
 
 
 def initial_weights(d: int, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -296,18 +380,19 @@ def train(
     docs); pre-activations come from a ``PreActivationCache`` that every
     update invalidates. On CSR input the weights, the optimizer state and
     every product cover only the occupied columns, renumbered in order so
-    each row keeps its column order; the trained rows are written back
-    into the full (D, M) initial draw, which dense input's steps update
-    in place. The weights are bit-identical to those of the plain (D, M)
-    update on every row.
+    each row keeps its column order; a step gathers the weight and
+    accumulator rows of its ``RowGradient``, decays them by the steps
+    since each row's last one and writes them back. The trained rows are
+    written back into the full (D, M) initial draw, which dense input's
+    steps update in place. The weights are bit-identical to those of the
+    plain (D, M) update on every row.
 
     The dataset's ``known_outliers`` (if any) serve as the labeled pool.
     """
     params.validate()
     d = dataset.n_features
     m = params.rep_dim
-    if m > d:
-        raise ValueError(f"rep_dim must be <= n_features, got {m} > {d}")
+    check_rep_dim(m, d)
     pools = sampling_pools(sets, scores, dataset.known_outliers, params.labeled_fraction)
 
     root = np.random.SeedSequence(params.rng_seed)
@@ -323,6 +408,7 @@ def train(
         del local  # the CSR holds its own (int32) copy
     trained = weights[occupied]
     state = OptimizerState.zeros(len(trained), m, params.optimizer_decay, params.optimizer_eps)
+    last = np.zeros(len(trained), dtype=np.int64)  # each CSR row's last step
     cache = PreActivationCache.empty(values.shape[0], m)
     n_batches = math.ceil(params.samples_per_epoch / params.batch_size)
 
@@ -352,7 +438,11 @@ def train(
             epoch_losses[j] = losses.mean()
             if grad is None:  # every triplet met the margin
                 continue
-            adadelta_step(state, trained, grad, skipped=k - 1 - report.last_update_step)
+            if isinstance(grad.rows, slice):  # dense: every row, in place
+                adadelta_step(state, trained, grad.values, skipped=k - 1 - report.last_update_step)
+            else:
+                _step_rows(state, trained, grad, skipped=k - 1 - last[grad.rows])
+                last[grad.rows] = k
             cache.fresh[:] = False
             report.update_steps += 1
             report.last_update_step = k

@@ -89,6 +89,7 @@ def run_pipeline(
     """
     params.validate()
     require_valid(dataset)
+    learner.check_rep_dim(params.rep_dim, dataset.n_features)
     if original is None:
         original = original_stage(dataset, params)
     _, seed_train, seed_emb = stage_seeds(params.rng_seed)

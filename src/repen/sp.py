@@ -92,11 +92,16 @@ def sp_score_with_subsamples(dataset, subsamples: Sequence[np.ndarray]) -> Outli
     permutes the scores identically.
     """
     values = dataset.values if isinstance(dataset, Dataset) else dataset
-    for idx in subsamples:
+    n = values.shape[0]
+    for member, idx in enumerate(subsamples):
         if len(idx) == 0:
             raise ValueError("subsample index lists must be non-empty")
         if np.unique(idx).size != len(idx):
             raise ValueError("subsample index lists must not contain duplicates")
+        idx = np.asarray(idx)
+        outside = idx[(idx < 0) | (idx >= n)]
+        if outside.size:
+            raise ValueError(f"subsample {member} has index {outside[0]} outside 0..{n - 1}")
     dists = member_nn_dists(values, subsamples)
     return OutlierScores.from_scores(dists.mean(axis=1))
 

@@ -122,6 +122,61 @@ def relative_gradient_error(analytic, numeric) -> float:
     return diff / scale
 
 
+def reference_batch_loss_grad(values, weights, queries, positives, negatives, margin):
+    """Losses (b,) and the full (D, M) batch-mean gradient, or None when no
+    triplet has a positive loss: ``values[rows].T @ coeff`` over every row of
+    the batch, with no cache, as ``_batch_loss_grad`` once returned it."""
+    b, n = queries.shape
+    rows = np.unique(np.concatenate([queries.ravel(), positives, negatives]))
+    loc_q = np.searchsorted(rows, queries)
+    loc_p = np.searchsorted(rows, positives)
+    loc_n = np.searchsorted(rows, negatives)
+    excl_pos = queries == positives[:, None]
+    excl_neg = queries == negatives[:, None]
+    valid = ~excl_pos.all(axis=1) & ~excl_neg.all(axis=1)
+    arange = np.arange(b)
+
+    block = values[rows]
+    pre = np.asarray(block @ weights)
+    emb = np.maximum(pre, 0.0)
+    eq = emb[loc_q]
+    epos = emb[loc_p][:, None, :]
+    eneg = emb[loc_n][:, None, :]
+    d_pos_all = np.where(excl_pos, np.inf, ((epos - eq) ** 2).sum(axis=2))
+    d_neg_all = np.where(excl_neg, np.inf, ((eneg - eq) ** 2).sum(axis=2))
+    sel_pos = np.argmin(d_pos_all, axis=1)
+    sel_neg = np.argmin(d_neg_all, axis=1)
+    d_pos = np.where(valid, d_pos_all[arange, sel_pos], 0.0)
+    d_neg = np.where(valid, d_neg_all[arange, sel_neg], 0.0)
+    losses = np.where(valid, np.maximum(0.0, margin + d_pos - d_neg), 0.0)
+
+    active = losses > 0.0
+    if not active.any():
+        return losses, None
+    active_mask = pre > 0.0
+    qp = loc_q[arange, sel_pos]
+    qn = loc_q[arange, sel_neg]
+    u = (emb[loc_p] - emb[qp]) * (2.0 * active)[:, None]
+    v = (emb[loc_n] - emb[qn]) * (2.0 * active)[:, None]
+    coeff = np.zeros((rows.size, weights.shape[1]))
+    np.add.at(coeff, loc_p, u * active_mask[loc_p])
+    np.add.at(coeff, qp, -u * active_mask[qp])
+    np.add.at(coeff, loc_n, -v * active_mask[loc_n])
+    np.add.at(coeff, qn, v * active_mask[qn])
+    grad = np.asarray(block.T @ coeff)
+    grad /= b
+    return losses, grad
+
+
+def dense_gradient(grad, shape) -> np.ndarray:
+    """A ``RowGradient`` of ``_batch_loss_grad`` as a full array of ``shape``;
+    None, an exactly zero gradient, gives zeros."""
+    out = np.zeros(shape)
+    if grad is not None:
+        out[grad.rows] = grad.values
+    return out
+
+
 def reference_adadelta_step(state, weights, gradient):
     """The ADADELTA update as whole-array formulas: new weights and state, inputs untouched."""
     rho, eps = state.decay, state.eps

@@ -26,6 +26,7 @@ from repen.thresholding import candidate_sets, cantelli_bound, cantelli_partitio
 from repen.cli import main as cli_main
 
 from conftest import (
+    dense_gradient,
     finite_difference_gradient,
     nn_dist_reference,
     one_triplet,
@@ -64,7 +65,7 @@ class TestCriterion01GradientOracle:
             d_neg = ((emb[order[n + 1]] - emb[order[:n]]) ** 2).sum(1).min()
             if abs(margin + d_pos - d_neg) < 0.5:
                 continue
-            analytic = np.zeros_like(weights) if grad is None else grad
+            analytic = dense_gradient(grad, weights.shape)
             numeric = finite_difference_gradient(values, weights, batch, margin)
             if loss == 0.0:
                 assert np.array_equal(analytic, np.zeros_like(analytic))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sps
 
-from repen import learner
+from repen import learner, sp
 from repen.data import CandidateSets, Dataset, HyperParams, OutlierScores, RepresentationModel
 from repen.ingest import synth_gaussian_with_outliers
 from repen.learner import (
@@ -28,10 +28,12 @@ from repen.sp import SpConfig, sp_score
 from repen.thresholding import candidate_sets
 
 from conftest import (
+    dense_gradient,
     finite_difference_gradient,
     one_triplet,
     one_triplet_loss,
     reference_adadelta_step,
+    reference_batch_loss_grad,
     relative_gradient_error,
 )
 
@@ -144,7 +146,7 @@ class TestLossGradient:
         values = np.abs(rng.standard_normal((4, 3)))
         losses, grad = _batch_loss_grad(values, -np.ones((3, 2)), *one_triplet((0,), 1, 2), 7.0)
         assert losses.tolist() == [7.0]
-        assert np.array_equal(grad, np.zeros((3, 2)))
+        assert np.array_equal(dense_gradient(grad, (3, 2)), np.zeros((3, 2)))
 
     def test_matches_finite_differences(self, rng):
         checked = 0
@@ -154,6 +156,7 @@ class TestLossGradient:
             if losses[0] <= 1e-3:  # keep clear of the hinge kink for the oracle
                 continue
             numeric = finite_difference_gradient(values, weights, batch, 5.0)
+            analytic = dense_gradient(analytic, weights.shape)
             assert relative_gradient_error(analytic, numeric) < 1e-4
             checked += 1
         assert checked >= 20
@@ -166,7 +169,8 @@ class TestLossGradient:
         g_dense = _batch_loss_grad(values, weights, *batch, 3.0)[1]
         g_sparse = _batch_loss_grad(sps.csr_matrix(values), weights, *batch, 3.0)[1]
         assert g_dense is not None
-        np.testing.assert_allclose(g_dense, g_sparse, atol=1e-12)
+        np.testing.assert_allclose(dense_gradient(g_dense, weights.shape),
+                                   dense_gradient(g_sparse, weights.shape), atol=1e-12)
 
 
 class TestAdadelta:
@@ -230,6 +234,36 @@ class TestAdadelta:
         power_w, power = reference_adadelta_step(power, np.zeros(shape), grad)
         got = [a.tobytes() for a in (weights, state.accum_grad_sq, state.accum_update_sq)]
         assert [a.tobytes() for a in (power_w, power.accum_grad_sq, power.accum_update_sq)] != got
+
+    def test_per_row_skipped_counts_are_successive_products(self, rng):
+        shape = (3500, 4)
+        start = np.exp(rng.uniform(-30, 30, size=(2, *shape)))
+        grad = rng.standard_normal(shape)
+        counts = rng.integers(0, 12, size=shape[0])
+        state = OptimizerState(*start.copy(), 0.95, 1e-4)
+        weights = np.zeros(shape)
+        adadelta_step(state, weights, grad, skipped=counts)
+
+        expected = OptimizerState(*start.copy(), 0.95, 1e-4)
+        for i, count in enumerate(counts):
+            for _ in range(count):
+                expected.accum_grad_sq[i] *= 0.95
+                expected.accum_update_sq[i] *= 0.95
+        expected_w, expected = reference_adadelta_step(expected, np.zeros(shape), grad)
+        assert weights.tobytes() == expected_w.tobytes()
+        assert state.accum_grad_sq.tobytes() == expected.accum_grad_sq.tobytes()
+        assert state.accum_update_sq.tobytes() == expected.accum_update_sq.tobytes()
+
+        # One rho ** k product per row would give other bytes.
+        power = OptimizerState(*(start * 0.95 ** counts[:, None]), 0.95, 1e-4)
+        _, power = reference_adadelta_step(power, np.zeros(shape), grad)
+        assert power.accum_grad_sq.tobytes() != state.accum_grad_sq.tobytes()
+
+    def test_per_row_counts_must_match_the_rows(self):
+        state = OptimizerState(np.ones((3, 2)), np.ones((3, 2)))
+        with pytest.raises(ValueError, match="one count per weight row"):
+            adadelta_step(state, np.zeros((3, 2)), np.ones((3, 2)), skipped=np.ones(2, int))
+        assert np.all(state.accum_grad_sq == 1.0)
 
     def test_shape_mismatch_rejected(self):
         state = OptimizerState.zeros(2, 2)
@@ -315,6 +349,14 @@ class TestTrain:
         with pytest.raises(ValueError, match="rep_dim"):
             train(ds, sets, scores, params)
 
+    def test_pipeline_rejects_rep_dim_larger_than_d_before_scoring(self, monkeypatch):
+        ds, _, _ = _training_inputs(n_in=30, n_out=3, d=10)
+        calls = []
+        monkeypatch.setattr(sp, "sp_score", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="rep_dim must be <= n_features, got 11 > 10"):
+            run_pipeline(ds, HyperParams(rep_dim=11, n_epochs=1))
+        assert calls == []
+
 
 def _sparse_training_inputs(n=200, d=5000, nnz_per_row=10, seed=4):
     """CSR rows of random columns; the last tenth, shifted up by 4, are outliers."""
@@ -331,8 +373,9 @@ def _sparse_training_inputs(n=200, d=5000, nnz_per_row=10, seed=4):
 
 
 def _reference_train(ds, sets, scores, params):
-    """``train``'s weights from the full (D, M) gradient and the whole-array
-    reference update on every step, zero-gradient steps included."""
+    """``train``'s weights from the full (D, M) reference gradient and the
+    whole-array reference update on every step, zero-gradient steps and
+    zero-gradient rows included."""
     init_ss, batch_ss, _ = np.random.SeedSequence(params.rng_seed).spawn(3)
     weights = initial_weights(ds.n_features, params.rep_dim, np.random.default_rng(init_ss))
     state = OptimizerState.zeros(
@@ -343,7 +386,7 @@ def _reference_train(ds, sets, scores, params):
     for stream in batch_ss.spawn(params.n_epochs * n_batches):
         q, p, g = sample_batch_arrays(pools, params.query_size, params.batch_size,
                                       np.random.default_rng(stream))
-        _, grad = _batch_loss_grad(ds.values, weights, q, p, g, params.margin)
+        _, grad = reference_batch_loss_grad(ds.values, weights, q, p, g, params.margin)
         if grad is None:
             grad = np.zeros_like(weights)
         weights, state = reference_adadelta_step(state, weights, grad)
@@ -372,17 +415,50 @@ class TestTouchedRowUpdate:
         q, p, g = sample_batch_arrays(sampling_pools(sets, scores), 2, 16, rng)
         weights = rng.standard_normal((ds.n_features, 4)) * 0.05
         losses, grad = _batch_loss_grad(ds.values, weights, q, p, g, 1000.0)
+        grad = dense_gradient(grad, weights.shape)
         rows = np.unique(np.concatenate([q.ravel(), p, g]))
         cols = np.unique(ds.values[rows].indices)
         assert grad.shape == weights.shape
         assert cols.size < ds.n_features
         dense_losses, dense = _batch_loss_grad(ds.values.toarray(), weights, q, p, g, 1000.0)
+        dense = dense_gradient(dense, weights.shape)
         np.testing.assert_allclose(losses, dense_losses, rtol=1e-12)
         np.testing.assert_allclose(grad, dense, rtol=1e-12, atol=1e-15)
         untouched = np.ones(ds.n_features, dtype=bool)
         untouched[cols] = False
         assert np.all(grad[untouched] == 0.0)
         assert np.any(grad != 0.0)
+
+    def test_csr_gradient_rows_are_the_columns_of_rows_with_a_nonzero_coefficient(self):
+        # Row r occupies columns 2r and 2r + 1. The second triplet has its
+        # positive among its queries, so it contributes nothing, and rows 3
+        # and 4 enter the batch with a zero coefficient.
+        values = sps.csr_matrix((np.arange(1.0, 13.0), np.arange(12), np.arange(0, 13, 2)))
+        weights = np.linspace(0.1, 1.2, 24).reshape(12, 2)
+        batch = (np.array([[0], [3]]), np.array([1, 3]), np.array([2, 4]))
+        losses, grad = _batch_loss_grad(values, weights, *batch, 1000.0)
+        assert losses[0] > 0.0 and losses[1] == 0.0
+        assert grad.rows.tolist() == [0, 1, 2, 3, 4, 5]
+        _, reference = reference_batch_loss_grad(values, weights, *batch, 1000.0)
+        assert grad.values.tobytes() == reference[grad.rows].tobytes()
+        assert np.all(reference[6:] == 0.0)
+
+    def test_csr_gradient_rows_have_the_reference_bits(self):
+        ds, sets, scores = _sparse_training_inputs()
+        rng = np.random.default_rng(3)
+        pools = sampling_pools(sets, scores)
+        weights = rng.standard_normal((ds.n_features, 4)) * 0.05
+        # All 16 triplets are active at margin 1000, 4 of them at margin 0.1.
+        for margin in (1000.0, 0.1):
+            batch = sample_batch_arrays(pools, 2, 16, rng)
+            losses, grad = _batch_loss_grad(ds.values, weights, *batch, margin)
+            ref_losses, reference = reference_batch_loss_grad(ds.values, weights, *batch, margin)
+            assert losses.tobytes() == ref_losses.tobytes()
+            rows = np.unique(np.concatenate([batch[0].ravel(), batch[1], batch[2]]))
+            cols = np.unique(ds.values[rows].indices)
+            assert np.all(np.isin(grad.rows, cols)) and 0 < grad.rows.size < cols.size
+            assert grad.values.tobytes() == reference[grad.rows].tobytes()
+            assert dense_gradient(grad, weights.shape).tobytes() == reference.tobytes()
 
     def test_sparse_train_is_deterministic(self):
         ds, sets, scores = _sparse_training_inputs()
@@ -490,6 +566,25 @@ class TestSkippedSteps:
         reference = _reference_train(ds, sets, scores, params)
         assert model.weights.tobytes() == reference.tobytes()
 
+    def test_sparse_fit_with_a_wide_spread_of_pending_decays_is_bit_identical(
+        self, monkeypatch
+    ):
+        ds, sets, scores = _sparse_training_inputs()
+        params = HyperParams(rep_dim=4, n_epochs=3, samples_per_epoch=256, batch_size=32,
+                             rng_seed=7, margin=30.0)
+        counts, step = [], learner.adadelta_step
+
+        def recording_step(*args, skipped=0, **kwargs):
+            counts.append(np.asarray(skipped).copy())
+            return step(*args, skipped=skipped, **kwargs)
+
+        monkeypatch.setattr(learner, "adadelta_step", recording_step)
+        model, _ = train(ds, sets, scores, params)
+        pending = np.concatenate(counts)
+        assert pending.max() >= 20 and np.unique(pending).size >= 15
+        reference = _reference_train(ds, sets, scores, params)
+        assert model.weights.tobytes() == reference.tobytes()
+
     # With every negative drawn from the labeled pool, the outlier
     # candidates' weights are never used and nothing warns.
     @pytest.mark.parametrize("labeled_fraction, warnings_expected", [(0.5, 1), (1.0, 0)])
@@ -564,7 +659,8 @@ class TestBatchLossGradContract:
         cached = _batch_loss_grad(ds.values, weights, *batch, 1000.0, cache=cache)
         assert plain[0].tobytes() == cached[0].tobytes()
         assert np.any(plain[0] > 0.0)
-        assert plain[1].tobytes() == cached[1].tobytes()
+        shape = weights.shape
+        assert dense_gradient(plain[1], shape).tobytes() == dense_gradient(cached[1], shape).tobytes()
 
 
 class TestTransform:

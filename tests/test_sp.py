@@ -143,6 +143,13 @@ class TestEnsembleStructure:
         for sub in subs:
             assert np.unique(sub).size == sub.size
 
+    @pytest.mark.parametrize("bad", [-1, 6])
+    def test_index_outside_the_objects_is_rejected(self, rng, bad):
+        # -1 would alias row 5 and undo its self-exclusion; 6 is past the end.
+        values = rng.standard_normal((6, 3))
+        with pytest.raises(ValueError, match=f"subsample 1 has index {bad} outside 0..5"):
+            sp_score_with_subsamples(values, [np.array([0, 2]), np.array([bad, 1])])
+
     def test_permutation_equivariance(self, rng):
         values = rng.standard_normal((40, 4))
         subs = [rng.choice(40, size=5, replace=False) for _ in range(7)]
